@@ -1,4 +1,4 @@
-// Saturation throughput of the real-socket fabric backends.
+// Saturation throughput of the real-socket fabric.
 //
 // Unlike the simulation benches (which reproduce the paper's tables), this
 // bench measures the implementation itself: how many authenticated access
@@ -11,12 +11,12 @@
 // grant/revoke storms — the revocation path (update quorum + RevokeNotify
 // invalidations) under fire.
 //
-// Backend is selectable: `--backend reactor` (default; epoll +
-// recvmmsg/sendmmsg batching), `--backend udp` (thread-per-direction
-// baseline), or `--backend loopback` (no sockets — the ceiling imposed by
-// everything above the fabric). The checked-in BENCH_throughput.json
-// baseline is produced by the reactor backend; CI replays a short run and
-// diffs the schema against it (.github/workflows/ci.yml, bench-smoke job).
+// Backend is selectable: `--backend reactor` (default; the socket transport
+// with epoll + recvmmsg/sendmmsg batching) or `--backend loopback` (no
+// sockets — the ceiling imposed by everything above the fabric). The
+// checked-in BENCH_throughput.json baseline is produced by the reactor
+// backend; CI replays a short run and diffs the schema against it
+// (.github/workflows/ci.yml, bench-smoke job).
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -164,7 +164,7 @@ struct Rig {
     }
 
     for (int i = 0; i < kHosts; ++i) {
-      auto& env = *envs[static_cast<std::size_t>(kManagers + i)];
+      auto& env = *envs[static_cast<std::size_t>(nm + i)];
       hosts.push_back(std::make_unique<proto::AppHost>(
           host_ids[static_cast<std::size_t>(i)], env,
           clk::LocalClock::perfect(), names, keys, config));
@@ -337,7 +337,7 @@ void stop_update_storm(Rig& rig, const std::shared_ptr<UpdateStorm>& storm,
   if (fire != nullptr && *fire != nullptr) **fire = nullptr;  // break cycle
 }
 
-// Phase 5 helper: total dissemination frames a 3-manager deployment spends
+// Phase 4 helper: total dissemination frames a 3-manager deployment spends
 // revoking `users` rights cached on every one of `hosts` app hosts, under
 // one fanout strategy. Runs on the deterministic simulation (the strategies
 // sit above the fabric seam, so frame counts are backend-independent) and
@@ -381,15 +381,13 @@ int throughput_main(int argc, char** argv, BackendKind kind, bool shards) {
       "cycles per second over real localhost UDP (every check = 2 datagrams "
       "through one socket). revocation_storm runs pipelined grant/revoke "
       "quorums at manager 0 under live check load. backend_kind: 1=loopback, "
-      "2=udp, 3=reactor (select with --backend). The reactor run is the "
+      "3=reactor (select with --backend). The reactor run is the "
       "checked-in BENCH_throughput.json baseline; regressions >20% fail the "
       "CI bench-smoke diff."};
   return bench_main(argc, argv, info, [kind, shards](JsonEmitter& json) {
     const double storm_secs = fast_mode() ? 0.8 : 3.0;
     const std::uint64_t window = 256;
-    const double backend_field = kind == BackendKind::kLoopback ? 1.0
-                                 : kind == BackendKind::kUdp    ? 2.0
-                                                                : 3.0;
+    const double backend_field = kind == BackendKind::kLoopback ? 1.0 : 3.0;
     Rig rig(kind);
 
     // Warm-up: grant every user, then one check per host to populate caches
@@ -474,39 +472,7 @@ int throughput_main(int argc, char** argv, BackendKind kind, bool shards) {
                  {"checks_per_sec", bg_checks_per_sec},
                  {"seconds", bg.elapsed}});
 
-    // Phase 3 (reactor runs only): the same check storm, briefly, on the
-    // thread-per-direction udp backend — the batching speedup as one number.
-    // Field names deliberately avoid `checks_per_sec`: the ratio row records
-    // relative backend cost, it is not a machine-comparable rate the CI
-    // regression gate should key on.
-    if (kind == BackendKind::kReactor) {
-      const double ratio_secs = fast_mode() ? 0.5 : 1.5;
-      Rig udp_rig(BackendKind::kUdp);
-      for (int h = 0; h < kHosts; ++h) {
-        if (!udp_rig.barrier_update(acl::Op::kAdd, Rig::user_of(h))) {
-          std::fprintf(stderr, "udp ratio grant %d never reached quorum\n", h);
-          std::exit(2);
-        }
-      }
-      CheckDriver udp_driver(udp_rig);
-      (void)udp_driver.run(0.2, 16);  // warm caches and nonce floors
-      // Window 64, not 256: the per-direction-thread backend saturates its
-      // socket buffers earlier, and a dropped reply would stall the drain.
-      const auto udp_storm = udp_driver.run(ratio_secs, 64);
-      const double udp_checks_per_sec =
-          static_cast<double>(udp_storm.replies) / udp_storm.elapsed;
-      const double reactor_vs_udp =
-          udp_checks_per_sec > 0.0 ? checks_per_sec / udp_checks_per_sec : 0.0;
-      std::printf("  backend ratio (%4.1fs udp run):    %9.0f udp checks/sec"
-                  "  (reactor/udp = %.2fx)\n",
-                  udp_storm.elapsed, udp_checks_per_sec, reactor_vs_udp);
-      json.record("backend_ratio",
-                  {{"udp_checks_per_sec", udp_checks_per_sec},
-                   {"reactor_vs_udp", reactor_vs_udp},
-                   {"seconds", udp_storm.elapsed}});
-    }
-
-    // Phase 4 (--shards): aggregate UNCACHED checks/sec with the same four
+    // Phase 3 (--shards): aggregate UNCACHED checks/sec with the same four
     // managers deployed as one group vs four singleton shard groups. With
     // one group every check quorum fans out to all four managers (fanout
     // kAll); with singleton groups the shard map routes each check to the
@@ -551,7 +517,7 @@ int throughput_main(int argc, char** argv, BackendKind kind, bool shards) {
       }
     }
 
-    // Phase 5: dissemination frame economics — frames the deployment spends
+    // Phase 4: dissemination frame economics — frames the deployment spends
     // per mass revocation (4 users cached on 32 hosts) under each fanout
     // strategy. Deterministic sim, so these are exact counts, not rates;
     // field names avoid `checks_per_sec` so the CI regression gate ignores
@@ -615,7 +581,7 @@ int main(int argc, char** argv) {
   if (!wan::runtime::parse_backend(backend, &kind) ||
       kind == wan::runtime::BackendKind::kSim) {
     std::fprintf(stderr,
-                 "--backend must be loopback, udp, or reactor (got '%s')\n",
+                 "--backend must be loopback or reactor (got '%s')\n",
                  backend.c_str());
     return 2;
   }

@@ -30,7 +30,7 @@ obs::Counter& update_quorum_counter() {
 constexpr std::uint64_t kSeriesSeed = 0x5348414e444f4646ULL;  // "SHANDOFF"
 
 // Updates per ShardHandoffChunk: 512 × 30-byte updates + the 48-byte chunk
-// header stays far under kMaxFrameSize, so chunks survive the UDP backends.
+// header stays far under kMaxFrameSize, so chunks survive the UDP transport.
 constexpr std::size_t kHandoffChunkUpdates = 512;
 
 std::uint64_t slice_series(const std::vector<acl::AclUpdate>& slice) {

@@ -1,8 +1,7 @@
 #include "runtime/backend.hpp"
 
-#include "runtime/reactor_transport.hpp"
+#include "runtime/socket_base.hpp"
 #include "runtime/threaded_env.hpp"
-#include "runtime/udp_transport.hpp"
 
 namespace wan::runtime {
 
@@ -11,10 +10,8 @@ std::unique_ptr<Fabric> make_fabric(const EnvOptions& opts,
   switch (opts.backend) {
     case BackendKind::kLoopback:
       return std::make_unique<LoopbackFabric>(opts);
-    case BackendKind::kUdp:
-      return UdpTransport::create(opts, error);
     case BackendKind::kReactor:
-      return ReactorTransport::create(opts, error);
+      return SocketTransport::create(opts, error);
     case BackendKind::kSim:
       break;
   }

@@ -13,7 +13,6 @@ const char* to_cstring(BackendKind kind) noexcept {
   switch (kind) {
     case BackendKind::kSim: return "sim";
     case BackendKind::kLoopback: return "loopback";
-    case BackendKind::kUdp: return "udp";
     case BackendKind::kReactor: return "reactor";
   }
   return "?";
@@ -22,7 +21,6 @@ const char* to_cstring(BackendKind kind) noexcept {
 bool parse_backend(const std::string& text, BackendKind* out) {
   if (text == "sim") *out = BackendKind::kSim;
   else if (text == "loopback") *out = BackendKind::kLoopback;
-  else if (text == "udp") *out = BackendKind::kUdp;
   else if (text == "reactor") *out = BackendKind::kReactor;
   else return false;
   return true;

@@ -10,8 +10,9 @@
 //     (delay/jitter/loss/seed); listen/topology are ignored.
 //   * LoopbackFabric — delay/jitter/loss/seed shape the in-process fabric;
 //     listen/topology are ignored.
-//   * UdpTransport  — listen/topology_path/send_queue_limit wire the socket;
-//     delay/jitter/loss are ignored (a real network provides its own).
+//   * SocketTransport — listen/topology_path/send_queue_limit/reliability
+//     wire the socket; delay/jitter/loss are ignored (a real network
+//     provides its own).
 //
 // Fields a backend ignores are deliberately not an error: the whole point is
 // that one struct travels from flag parsing to whichever backend the run
@@ -30,21 +31,20 @@
 namespace wan::runtime {
 
 /// Which runtime backend a run constructs. kSim is the discrete-event
-/// simulator (an Env, not a Fabric); the other three are real-thread fabrics
+/// simulator (an Env, not a Fabric); the other two are real-thread fabrics
 /// built by make_fabric() (runtime/backend.hpp).
 enum class BackendKind : std::uint8_t {
   kSim,       ///< SimEnv: virtual time, single thread
   kLoopback,  ///< LoopbackFabric: real threads, in-process delivery
-  kUdp,       ///< UdpTransport: real sockets, thread-per-direction
-  kReactor,   ///< ReactorTransport: real sockets, epoll + batched syscalls
+  kReactor,   ///< SocketTransport: real sockets, epoll + batched syscalls
 };
 
-/// "sim" / "loopback" / "udp" / "reactor" <-> BackendKind (for flags).
+/// "sim" / "loopback" / "reactor" <-> BackendKind (for flags).
 [[nodiscard]] const char* to_cstring(BackendKind kind) noexcept;
 [[nodiscard]] bool parse_backend(const std::string& text, BackendKind* out);
 
-/// Knobs of the socket backends' reliability layer (ack/retransmit/dedup;
-/// runtime/reliable_channel.hpp). Off by default: the raw fabrics keep plain
+/// Knobs of the socket transport's reliability layer (ack/retransmit/dedup;
+/// runtime/reliable_channel.hpp). Off by default: the raw fabric keeps plain
 /// UDP semantics unless a deployment opts in, and transport tests that pin
 /// duplicate-delivery behavior run against the raw path.
 struct ReliabilityOptions {
@@ -136,11 +136,11 @@ struct EnvOptions {
   sim::Duration jitter = sim::Duration{};          ///< + uniform [0, jitter]
   double loss = 0.0;                               ///< i.i.d. drop probability
 
-  // --- socket backends (UdpTransport) ---
+  // --- socket transport (SocketTransport) ---
   std::string listen;         ///< bind address "host:port"; port 0 = ephemeral
   std::string topology_path;  ///< HostId -> host:port map file (docs/WIRE_FORMAT.md)
   std::size_t send_queue_limit = 1024;  ///< outbound frames queued before drop
-  ReliabilityOptions reliability;       ///< ack/retransmit layer (socket backends)
+  ReliabilityOptions reliability;       ///< ack/retransmit layer (socket transport)
   ShardTopologyOptions sharding;        ///< manager-group partition (all backends)
   DisseminationOptions dissemination;   ///< revocation fan-out strategy (all backends)
 };

@@ -5,7 +5,7 @@
 //
 //   * LoopbackFabric (runtime/threaded_env.hpp) — in-process, configurable
 //     delay/jitter/loss; every node lives in one address space.
-//   * UdpTransport   (runtime/udp_transport.hpp) — one UDP socket per
+//   * SocketTransport (runtime/socket_base.hpp) — one UDP socket per
 //     process, frames encoded by the net::CodecRegistry wire codec; nodes
 //     span processes and machines.
 //

@@ -3,10 +3,12 @@
 #include <arpa/inet.h>
 #include <netdb.h>
 #include <netinet/in.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -22,6 +24,10 @@ namespace wan::runtime {
 namespace {
 
 using SteadyClock = std::chrono::steady_clock;
+
+// Large enough that a localhost saturation load is not limited by kernel
+// socket buffers; best effort (the kernel clamps to its sysctl ceilings).
+constexpr int kSocketBufBytes = 4 * 1024 * 1024;
 
 bool parse_port(const std::string& text, std::uint16_t* port) {
   if (text.empty() || text.size() > 5) return false;
@@ -167,16 +173,26 @@ std::string Topology::serialize() const {
 
 SocketTransport::SocketTransport() = default;
 
+std::unique_ptr<SocketTransport> SocketTransport::create(
+    const EnvOptions& opts, std::string* error) {
+  // Can't use make_unique with the private constructor.
+  std::unique_ptr<SocketTransport> t(new SocketTransport());
+  if (!t->open(opts, error)) return nullptr;
+  t->reactor_ = std::thread([p = t.get()] { p->reactor_loop(); });
+  return t;
+}
+
 SocketTransport::~SocketTransport() {
-  // Subclass destructors run shutdown(); this is the last-resort fd guard for
-  // construction paths that failed before the I/O machinery started.
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
+  shutdown();
+  for (int* fd : {&fd_, &epoll_fd_, &wake_fd_}) {
+    if (*fd >= 0) {
+      ::close(*fd);
+      *fd = -1;
+    }
   }
 }
 
-bool SocketTransport::open_socket(const EnvOptions& opts, std::string* error) {
+bool SocketTransport::open(const EnvOptions& opts, std::string* error) {
   const std::string listen_text =
       opts.listen.empty() ? std::string("127.0.0.1:0") : opts.listen;
   const std::optional<NodeAddress> listen = parse_node_address(listen_text);
@@ -190,7 +206,7 @@ bool SocketTransport::open_socket(const EnvOptions& opts, std::string* error) {
 
   send_queue_limit_ = opts.send_queue_limit;
 
-  fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
+  fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
   if (fd_ < 0) {
     if (error) *error = std::string("socket(): ") + std::strerror(errno);
     return false;
@@ -214,6 +230,32 @@ bool SocketTransport::open_socket(const EnvOptions& opts, std::string* error) {
     return false;
   }
   local_port_ = ntohs(bound.sin_port);
+  ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &kSocketBufBytes,
+               sizeof kSocketBufBytes);
+  ::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &kSocketBufBytes,
+               sizeof kSocketBufBytes);
+
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) {
+    if (error) *error = std::string("epoll_create1(): ") + std::strerror(errno);
+    return false;
+  }
+  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (wake_fd_ < 0) {
+    if (error) *error = std::string("eventfd(): ") + std::strerror(errno);
+    return false;
+  }
+  epoll_event sock_ev{};
+  sock_ev.events = EPOLLIN;
+  sock_ev.data.fd = fd_;
+  epoll_event wake_ev{};
+  wake_ev.events = EPOLLIN;
+  wake_ev.data.fd = wake_fd_;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd_, &sock_ev) != 0 ||
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &wake_ev) != 0) {
+    if (error) *error = std::string("epoll_ctl(): ") + std::strerror(errno);
+    return false;
+  }
 
   if (!opts.topology_path.empty()) {
     const std::optional<Topology> topo =
@@ -256,9 +298,32 @@ bool SocketTransport::open_socket(const EnvOptions& opts, std::string* error) {
   return true;
 }
 
+void SocketTransport::shutdown() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (shut_down_) return;
+    shut_down_ = true;
+  }
+  // Envs first: once their loops stop, queued deliveries are dropped and no
+  // protocol code runs while the reactor winds down. The reliability layer
+  // goes next — its timer thread enqueues into the outbound queue, so it
+  // must stop before the reactor does.
+  stop_all();
+  if (reliable_ != nullptr) reliable_->stop();
+  stopping_.store(true, std::memory_order_release);
+  if (wake_fd_ >= 0) wake();
+  if (reactor_.joinable()) reactor_.join();
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
+  }
+}
+
 void SocketTransport::send(HostId from, HostId to, net::MessagePtr msg) {
   WAN_REQUIRE(msg != nullptr);
-  count_env_send();
+  static obs::Counter& sends =
+      obs::Registry::global().counter("wan_env_sends_total{env=\"reactor\"}");
+  sends.inc();
   const std::optional<ResolvedAddr> dest = route_for_send(from, to);
   if (!dest) return;
   const net::CodecRegistry& codec = net::CodecRegistry::global();
@@ -270,12 +335,12 @@ void SocketTransport::send(HostId from, HostId to, net::MessagePtr msg) {
     reliable_->send_reliable(from, to, *msg, *dest);
     return;
   }
-  std::vector<std::uint8_t> frame = take_send_buffer();
+  std::vector<std::uint8_t> frame = take_buffer();
   if (!codec.encode_into(from, to, *msg, &frame)) {
     // tag_of succeeded, so the only way encode fails is a frame bigger than
     // one UDP datagram can carry.
     count_socket_drop("oversize");
-    recycle_send_buffer(std::move(frame));
+    recycle_buffer(std::move(frame));
     return;
   }
   enqueue_frame(std::move(frame), *dest);
@@ -287,10 +352,6 @@ void SocketTransport::set_peer_unreachable(UnreachableFn fn) {
 
 ReliableChannel* SocketTransport::reliable_channel() noexcept {
   return reliable_.get();
-}
-
-void SocketTransport::stop_reliable() {
-  if (reliable_ != nullptr) reliable_->stop();
 }
 
 void SocketTransport::attach(HostId id, std::shared_ptr<LoopCore> core,
@@ -350,7 +411,8 @@ std::optional<ResolvedAddr> SocketTransport::route_for_send(HostId from,
   return peer->second;
 }
 
-void SocketTransport::on_datagram(const std::uint8_t* data, std::size_t size) {
+void SocketTransport::on_datagram(const std::uint8_t* data, std::size_t size,
+                                  const ResolvedAddr& source) {
   socket_frames_received().inc();
   const net::CodecRegistry::Decoded decoded =
       net::CodecRegistry::global().decode(data, size);
@@ -361,6 +423,22 @@ void SocketTransport::on_datagram(const std::uint8_t* data, std::size_t size) {
   const std::uint32_t from = decoded.frame->from.value();
   const std::uint32_t to = decoded.frame->to.value();
   net::MessagePtr msg = decoded.frame->msg;
+  // Source filtering precedes fault injection and the reliability layer: a
+  // forged or blocked envelope must not draw fault decisions, and a one-way
+  // partition must swallow the envelope too, or the ack it triggers would
+  // defeat the cut the test armed.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto peer = peers_.find(from);
+    if (peer == peers_.end() || !(peer->second == source)) {
+      count_socket_drop("spoofed_source");
+      return;
+    }
+    if (blocked_sources_.count(from) != 0) {
+      count_socket_drop("blocked");
+      return;
+    }
+  }
 
   // Adverse-network injection (test hook). Decisions are drawn under
   // fault_mu_; delivery happens outside it so a released held frame cannot
@@ -397,16 +475,6 @@ void SocketTransport::on_datagram(const std::uint8_t* data, std::size_t size) {
 
 void SocketTransport::dispatch(std::uint32_t from_value, std::uint32_t to_value,
                                net::MessagePtr msg) {
-  // Blocked sources are filtered before the reliability layer sees the
-  // frame: a one-way partition must swallow the envelope too, or the ack it
-  // triggers would defeat the cut the test armed.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (blocked_sources_.count(from_value) != 0) {
-      count_socket_drop("blocked");
-      return;
-    }
-  }
   if (reliable_ != nullptr) {
     if (const auto* data =
             dynamic_cast<const net::ReliableData*>(msg.get())) {
@@ -445,11 +513,182 @@ void SocketTransport::deliver(std::uint32_t from_value, std::uint32_t to_value,
                      msg = std::move(msg)] { handler(from, msg); });
 }
 
-bool SocketTransport::mark_shut_down() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (shut_down_) return false;
-  shut_down_ = true;
+std::vector<std::uint8_t> SocketTransport::take_buffer() {
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  if (pool_.empty()) return {};
+  std::vector<std::uint8_t> buf = std::move(pool_.back());
+  pool_.pop_back();
+  return buf;
+}
+
+void SocketTransport::recycle_buffer(std::vector<std::uint8_t>&& buf) {
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  if (pool_.size() < send_queue_limit_) pool_.push_back(std::move(buf));
+}
+
+void SocketTransport::wake() {
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
+}
+
+bool SocketTransport::enqueue_frame(std::vector<std::uint8_t> frame,
+                                    const ResolvedAddr& dest) {
+  bool was_empty = false;
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    if (queue_.size() >= send_queue_limit_) {
+      count_socket_drop("queue_full");
+      return false;
+    }
+    was_empty = queue_.empty();
+    queue_.push_back(Outbound{std::move(frame), dest});
+  }
+  // Ring the reactor only on the empty->nonempty edge: once it is awake it
+  // drains the whole queue, so further wakeups would be redundant syscalls.
+  if (was_empty) wake();
   return true;
+}
+
+void SocketTransport::set_want_write(bool want) {
+  if (want == want_write_) return;
+  want_write_ = want;
+  epoll_event ev{};
+  ev.events = want ? (EPOLLIN | EPOLLOUT) : EPOLLIN;
+  ev.data.fd = fd_;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd_, &ev);
+}
+
+void SocketTransport::reactor_loop() {
+  epoll_event events[4];
+  while (!stopping_.load(std::memory_order_acquire)) {
+    const int n = ::epoll_wait(epoll_fd_, events, 4, /*timeout_ms=*/100);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return;  // epoll fd gone — shutdown is racing us
+    }
+    bool readable = false;
+    bool writable = false;
+    bool woken = false;
+    for (int i = 0; i < n; ++i) {
+      if (events[i].data.fd == wake_fd_) {
+        woken = true;
+      } else {
+        if (events[i].events & EPOLLIN) readable = true;
+        if (events[i].events & EPOLLOUT) writable = true;
+      }
+    }
+    if (woken) {
+      std::uint64_t drained = 0;
+      [[maybe_unused]] const ssize_t r =
+          ::read(wake_fd_, &drained, sizeof drained);
+    }
+    if (stopping_.load(std::memory_order_acquire)) return;
+    if (readable) drain_inbound();
+    // Flush whenever there might be outbound work: a wakeup (new frames), a
+    // writable edge (kernel buffer drained), or leftovers from a prior pass.
+    if (woken || writable || want_write_) {
+      set_want_write(!flush_outbound());
+    }
+  }
+}
+
+void SocketTransport::drain_inbound() {
+  // Preallocated batch machinery: kBatch slots, each a full-size datagram
+  // buffer plus its source address, reused across every recvmmsg call for
+  // the life of the reactor.
+  static thread_local std::vector<std::uint8_t> storage(kBatch * 65536);
+  static thread_local std::array<iovec, kBatch> iovecs;
+  static thread_local std::array<sockaddr_in, kBatch> sources;
+  static thread_local std::array<mmsghdr, kBatch> headers;
+  for (;;) {
+    for (unsigned i = 0; i < kBatch; ++i) {
+      iovecs[i].iov_base = storage.data() + i * std::size_t{65536};
+      iovecs[i].iov_len = 65536;
+      headers[i].msg_hdr = msghdr{};
+      headers[i].msg_hdr.msg_name = &sources[i];
+      headers[i].msg_hdr.msg_namelen = sizeof sources[i];
+      headers[i].msg_hdr.msg_iov = &iovecs[i];
+      headers[i].msg_hdr.msg_iovlen = 1;
+    }
+    const int got = ::recvmmsg(fd_, headers.data(), kBatch, MSG_DONTWAIT,
+                               /*timeout=*/nullptr);
+    if (got <= 0) return;  // EAGAIN (drained) or transient error
+    for (int i = 0; i < got; ++i) {
+      const sockaddr_in& src = sources[i];
+      // An AF_INET socket only ever reports AF_INET sources; anything else
+      // cannot match a registered peer and fails the source check.
+      const ResolvedAddr source =
+          headers[i].msg_hdr.msg_namelen == sizeof src &&
+                  src.sin_family == AF_INET
+              ? ResolvedAddr{src.sin_addr.s_addr, src.sin_port}
+              : ResolvedAddr{};
+      on_datagram(static_cast<const std::uint8_t*>(iovecs[i].iov_base),
+                  headers[i].msg_len, source);
+    }
+    if (static_cast<unsigned>(got) < kBatch) return;  // socket drained
+  }
+}
+
+bool SocketTransport::flush_outbound() {
+  for (;;) {
+    // Pop up to one batch; sending happens outside queue_mu_ so send() is
+    // never blocked behind a syscall.
+    std::array<Outbound, kBatch> batch;
+    unsigned count = 0;
+    {
+      std::lock_guard<std::mutex> lock(queue_mu_);
+      while (count < kBatch && !queue_.empty()) {
+        batch[count++] = std::move(queue_.front());
+        queue_.pop_front();
+      }
+    }
+    if (count == 0) return true;
+
+    std::array<sockaddr_in, kBatch> dests;
+    std::array<iovec, kBatch> iovecs;
+    std::array<mmsghdr, kBatch> headers;
+    for (unsigned i = 0; i < count; ++i) {
+      dests[i] = sockaddr_in{};
+      dests[i].sin_family = AF_INET;
+      dests[i].sin_port = batch[i].dest.port_be;
+      dests[i].sin_addr.s_addr = batch[i].dest.ip_be;
+      iovecs[i].iov_base = batch[i].frame.data();
+      iovecs[i].iov_len = batch[i].frame.size();
+      headers[i].msg_hdr = msghdr{};
+      headers[i].msg_hdr.msg_name = &dests[i];
+      headers[i].msg_hdr.msg_namelen = sizeof dests[i];
+      headers[i].msg_hdr.msg_iov = &iovecs[i];
+      headers[i].msg_hdr.msg_iovlen = 1;
+    }
+
+    unsigned sent = 0;
+    while (sent < count) {
+      const int n =
+          ::sendmmsg(fd_, headers.data() + sent, count - sent, MSG_DONTWAIT);
+      if (n > 0) {
+        for (int i = 0; i < n; ++i) {
+          socket_frames_sent().inc();
+          recycle_buffer(std::move(batch[sent + i].frame));
+        }
+        sent += static_cast<unsigned>(n);
+        continue;
+      }
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        // Kernel buffer full: requeue the unsent tail (preserving order) and
+        // let EPOLLOUT resume us.
+        std::lock_guard<std::mutex> lock(queue_mu_);
+        for (unsigned i = count; i > sent; --i) {
+          queue_.push_front(std::move(batch[i - 1]));
+        }
+        return false;
+      }
+      // Hard error on the head frame: drop it, keep going with the rest.
+      count_socket_drop("sendto_error");
+      recycle_buffer(std::move(batch[sent].frame));
+      ++sent;
+    }
+  }
 }
 
 }  // namespace wan::runtime

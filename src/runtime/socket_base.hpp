@@ -1,24 +1,41 @@
-// SocketTransport: the shared substrate of every real-socket fabric backend.
+// SocketTransport: the runtime fabric over real UDP sockets — nodes span
+// processes and machines.
 //
-// PR 5's UdpTransport owned everything a socket fabric needs — address
-// parsing, the static topology, peer resolution, endpoint bookkeeping, the
-// inbound decode/deliver path, and the labelled drop counters. The reactor
-// backend (runtime/reactor_transport.hpp) needs all of the same pieces, so
-// they live here and the two backends differ only in how bytes move:
+// One SocketTransport per OS process, owning one nonblocking UDP socket.
+// Local nodes attach exactly as they do to a LoopbackFabric (ThreadedEnv's
+// transport port calls attach/send); remote nodes are reached through a
+// static topology mapping HostId -> host:port, loaded from a file or patched
+// in with add_peer(). Frames on the wire are produced by the
+// net::CodecRegistry codec (docs/WIRE_FORMAT.md), one frame per datagram.
+// Callers must register the protocol codecs (proto::register_wire_messages())
+// before the first send — the runtime layer itself is protocol-agnostic and
+// never includes proto/ headers.
 //
-//   * UdpTransport     — recv-loop thread + sender thread, one datagram per
-//     blocking syscall. Simple, portable; the PR 5 baseline.
-//   * ReactorTransport — one epoll-driven event loop, recvmmsg/sendmmsg
-//     batched syscalls, reusable encode buffers. The saturation backend.
+// I/O: one reactor thread multiplexes, through epoll, the socket and an
+// eventfd that send() rings when the outbound queue goes nonempty (and
+// shutdown() rings to stop the loop). Inbound datagrams are drained with
+// recvmmsg, kBatch frames per syscall, until EAGAIN; outbound frames are
+// flushed with sendmmsg. send() encodes into vectors recycled from a pool
+// capped at the queue limit, so the steady-state send path does not
+// allocate. The outbound queue is bounded by EnvOptions::send_queue_limit:
+// overflow drops the frame as wan_udp_drops_total{reason="queue_full"} —
+// UDP never backpressures into protocol code. When the kernel socket buffer
+// fills (sendmmsg EAGAIN), frames stay queued and EPOLLOUT is armed, so a
+// full kernel buffer delays rather than drops.
 //
-// Both speak the identical wire protocol (net::CodecRegistry frames, one per
-// datagram), expose the identical operational surface (topology files,
-// add_peer patching, block_inbound_from partitions, per-reason
-// wan_udp_drops_total counters), and deliver inbound messages the identical
-// way (decoded, then posted onto the destination node's LoopCore). The
-// cross-backend conformance suite (tests/test_conformance.cpp) holds them to
-// that: the same seeded op script must produce the same protocol outcomes on
-// either backend — and on the in-process loopback fabric.
+// Sender authenticity: the frame header names its sender, but any local
+// process can write any header. A frame is accepted only when its datagram
+// came from the address the topology registers for the header's sender
+// (several ids may share one address); anything else is dropped as
+// wan_udp_drops_total{reason="spoofed_source"} before the fault plan, the
+// reliability layer, or protocol code sees it. This is the authentic-channel
+// assumption the paper's revocation guarantee rests on: a forged
+// QueryResponse "from a manager" would otherwise be an unauthorized allow.
+//
+// Inbound messages are posted onto the destination node's LoopCore, so
+// protocol modules stay single-threaded per node. The cross-fabric
+// conformance suite (tests/test_conformance.cpp) holds this transport and
+// the in-process loopback fabric to the same protocol outcomes.
 //
 // Adverse-network injection: set_fault_plan() arms a *deterministic* seeded
 // fault stream applied to inbound frames after decode — loss (counted as
@@ -27,8 +44,16 @@
 // arrival sequence, the same plan makes the same decisions; tests use it to
 // prove the protocol converges (and the Te bound holds) over a misbehaving
 // fabric without ever touching real packet schedules.
+//
+// Observability: wan_udp_frames_sent_total, wan_udp_frames_received_total,
+// wan_udp_deliveries_total, and wan_udp_drops_total{reason=...}.
+//
+// Topology file format (docs/WIRE_FORMAT.md): one `<host-id> <host>:<port>`
+// pair per line; `#` starts a comment. Every process of a deployment loads
+// the same file.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -38,6 +63,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -102,22 +128,26 @@ struct FaultPlan {
 struct ResolvedAddr {
   std::uint32_t ip_be = 0;    ///< network byte order
   std::uint16_t port_be = 0;  ///< network byte order
+
+  bool operator==(const ResolvedAddr&) const = default;
 };
 
 class ReliableChannel;
 
-/// Common machinery of the real-socket fabric backends. Subclasses own the
-/// I/O strategy (threads, syscall batching) and implement enqueue_frame();
-/// everything else — bind, routing, endpoints, the send path, decode,
-/// delivery, the optional reliability layer, counters — is here.
-class SocketTransport : public Fabric {
+class SocketTransport final : public Fabric {
  public:
+  /// Binds opts.listen (default "127.0.0.1:0"; port 0 picks an ephemeral
+  /// port, see local_port()) nonblocking, loads opts.topology_path if
+  /// non-empty, and starts the reactor thread. Returns nullptr and sets
+  /// *error on failure.
+  static std::unique_ptr<SocketTransport> create(const EnvOptions& opts,
+                                                 std::string* error);
   ~SocketTransport() override;
 
-  /// The shared send path: route, classify, encode, enqueue. With the
-  /// reliability layer enabled (EnvOptions::reliability), messages whose
-  /// net::Message::reliable() is true travel wrapped in the ack/retransmit
-  /// envelope; heartbeats and the envelope itself stay fire-and-forget.
+  /// Route, classify, encode, enqueue. With the reliability layer enabled
+  /// (EnvOptions::reliability), messages whose net::Message::reliable() is
+  /// true travel wrapped in the ack/retransmit envelope; heartbeats and the
+  /// envelope itself stay fire-and-forget.
   void send(HostId from, HostId to, net::MessagePtr msg) override;
 
   void attach(HostId id, std::shared_ptr<LoopCore> core,
@@ -131,7 +161,9 @@ class SocketTransport : public Fabric {
 
   /// Adds or replaces one peer route (tests and orchestrators patch in
   /// addresses discovered after port-0 binds; production loads a topology
-  /// file instead). Returns false when the host does not resolve.
+  /// file instead). The route is also the only source address frames
+  /// claiming to be from `id` are accepted from. Returns false when the
+  /// host does not resolve.
   bool add_peer(HostId id, const NodeAddress& addr);
 
   /// Drops every inbound frame whose source is `peer` (and counts it).
@@ -153,73 +185,76 @@ class SocketTransport : public Fabric {
   /// (tests poll in_flight() through this).
   [[nodiscard]] ReliableChannel* reliable_channel() noexcept;
 
-  /// Stops attached envs, then winds down the backend's I/O. Idempotent;
-  /// every subclass destructor calls it.
-  virtual void shutdown() = 0;
+  /// Stops attached envs, then the reliability layer, then the reactor
+  /// thread, and closes the socket. Idempotent; the destructor calls it.
+  void shutdown();
 
- protected:
+  /// Datagrams per recvmmsg/sendmmsg syscall.
+  static constexpr unsigned kBatch = 64;
+
+ private:
   struct Endpoint {
     std::shared_ptr<LoopCore> core;
     Transport::Handler handler;
     bool down = false;
   };
+  struct Outbound {
+    std::vector<std::uint8_t> frame;
+    ResolvedAddr dest;
+  };
 
-  // Out of line: the implicit constructor/destructor need the complete
+  // Out of line: the constructor/destructor need the complete
   // ReliableChannel type for the unique_ptr member.
   SocketTransport();
 
-  /// Opens and binds the UDP socket per opts.listen (default "127.0.0.1:0"),
-  /// records the bound port, and loads opts.topology_path if non-empty.
-  /// On failure sets *error and returns false; fd_ stays owned either way.
-  bool open_socket(const EnvOptions& opts, std::string* error);
+  /// Opens, binds, and sets up epoll per opts; loads the topology and the
+  /// reliability layer. On failure sets *error and returns false; the
+  /// destructor closes whatever was opened.
+  bool open(const EnvOptions& opts, std::string* error);
 
   /// Route lookup for a send; nullopt counts the unknown_dest drop.
   /// Additionally verifies the source endpoint is attached and up
   /// (endpoint_down drop otherwise).
   std::optional<ResolvedAddr> route_for_send(HostId from, HostId to);
 
-  /// Hands one encoded frame to the backend's bounded outbound queue.
-  /// Returns false on a queue-full shed (counted as queue_full by the
-  /// implementation). Called from env loop threads and from the reliability
-  /// layer's timer thread.
-  virtual bool enqueue_frame(std::vector<std::uint8_t> frame,
-                             const ResolvedAddr& dest) = 0;
+  /// Hands one encoded frame to the bounded outbound queue. Returns false on
+  /// a queue-full shed (counted). Called from env loop threads and from the
+  /// reliability layer's timer thread.
+  bool enqueue_frame(std::vector<std::uint8_t> frame, const ResolvedAddr& dest);
 
-  /// Bumps the backend's wan_env_sends_total counter (one per send() call).
-  virtual void count_env_send() = 0;
+  std::vector<std::uint8_t> take_buffer();
+  void recycle_buffer(std::vector<std::uint8_t>&& buf);
 
-  /// Encode-buffer recycling hooks; the reactor overrides these with its
-  /// pool, the udp backend keeps the allocate-per-frame default.
-  virtual std::vector<std::uint8_t> take_send_buffer() { return {}; }
-  virtual void recycle_send_buffer(std::vector<std::uint8_t>&& buf) {
-    (void)buf;
-  }
+  /// Decodes one received datagram, drops it if its sender does not match
+  /// `source` or is blocked, and hands it to dispatch(); every reject class
+  /// lands in its labelled drop counter. The inbound fault plan (if armed)
+  /// is applied after those checks and before the reliability layer, so
+  /// injected loss hits the envelope and retransmission is what recovers it.
+  void on_datagram(const std::uint8_t* data, std::size_t size,
+                   const ResolvedAddr& source);
 
-  /// Decodes one received datagram and hands it to dispatch(); every reject
-  /// class lands in its labelled drop counter. The inbound fault plan (if
-  /// armed) is applied here — before the reliability layer, so injected loss
-  /// hits the envelope and retransmission is what recovers it.
-  void on_datagram(const std::uint8_t* data, std::size_t size);
-
-  /// Post-fault routing: blocked-source filtering, then the reliability
-  /// layer's envelope handling (when enabled), then deliver().
+  /// Post-fault routing: the reliability layer's envelope handling (when
+  /// enabled), then deliver().
   void dispatch(std::uint32_t from_value, std::uint32_t to_value,
                 net::MessagePtr msg);
 
   /// Posts one decoded message onto the destination endpoint's loop,
-  /// honouring down endpoints (blocked sources were filtered in dispatch()).
+  /// honouring down endpoints (blocked sources were filtered on arrival).
   void deliver(std::uint32_t from_value, std::uint32_t to_value,
                net::MessagePtr msg);
 
-  /// True once shutdown() has run (subclasses gate their idempotence on it).
-  bool mark_shut_down();
-
-  /// Stops the reliability layer's timer thread (no-op when disabled).
-  /// Subclass shutdown() calls this after stop_all() and before joining its
-  /// own I/O threads — the channel enqueues into their queues.
-  void stop_reliable();
+  void reactor_loop();
+  /// Drains the inbound side with recvmmsg until EAGAIN.
+  void drain_inbound();
+  /// Flushes the outbound queue with sendmmsg; returns true when fully
+  /// drained, false when the kernel buffer filled (caller arms EPOLLOUT).
+  bool flush_outbound();
+  void set_want_write(bool want);
+  void wake();
 
   int fd_ = -1;
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;
   std::uint16_t local_port_ = 0;
   std::size_t send_queue_limit_ = 1024;
   std::unique_ptr<ReliableChannel> reliable_;  ///< nullptr when disabled
@@ -242,16 +277,26 @@ class SocketTransport : public Fabric {
     net::MessagePtr msg;
   };
   std::optional<HeldFrame> held_;
+
+  std::mutex queue_mu_;
+  std::deque<Outbound> queue_;
+
+  std::mutex pool_mu_;
+  std::vector<std::vector<std::uint8_t>> pool_;
+
+  bool want_write_ = false;  ///< reactor thread only
+  std::atomic<bool> stopping_{false};
+  std::thread reactor_;
 };
 
-/// Shared drop accounting: wan_udp_drops_total{reason=...}. Reasons are
+/// Drop accounting: wan_udp_drops_total{reason=...}. Reasons are
 /// queue_full, oversize, unregistered_type, unknown_dest, endpoint_down,
-/// blocked, not_local, sendto_error, injected_loss, seq_out_of_window,
-/// reliable_inner_mismatch, or a codec DecodeError string. Drops are rare,
-/// so the per-call registry lookup is fine.
+/// spoofed_source, blocked, not_local, sendto_error, injected_loss,
+/// seq_out_of_window, reliable_inner_mismatch, or a codec DecodeError
+/// string. Drops are rare, so the per-call registry lookup is fine.
 void count_socket_drop(const char* reason);
 
-/// Hot counters shared by the socket backends.
+/// Hot counters of the socket transport.
 obs::Counter& socket_frames_sent();
 obs::Counter& socket_frames_received();
 obs::Counter& socket_deliveries();

@@ -1,7 +1,7 @@
-// Cross-backend conformance: the three real-thread fabric backends —
-// LoopbackFabric (in-process), UdpTransport (thread-per-direction sockets),
-// and ReactorTransport (epoll + recvmmsg/sendmmsg) — must be behaviorally
-// indistinguishable above the Fabric seam. The suite proves it three ways:
+// Cross-backend conformance: the two real-thread fabric backends —
+// LoopbackFabric (in-process) and SocketTransport (real UDP sockets, epoll +
+// recvmmsg/sendmmsg) — must be behaviorally indistinguishable above the
+// Fabric seam. The suite proves it three ways:
 //
 //   1. A model-checked seed sweep: 100 seeded op scripts (grants, revokes,
 //      access checks) run on every backend; each script's decision log must
@@ -14,14 +14,13 @@
 //      pair and freshest-version-wins makes the outcome a pure function of
 //      the op history.
 //   2. The canonical scripted sequence from test_runtime.cpp (whose expected
-//      log is pinned against SimEnv) replayed over real UDP sockets on both
-//      socket backends.
+//      log is pinned against SimEnv) replayed over real UDP sockets.
 //   3. Adverse-network runs: with the deterministic fault plan injecting
 //      loss/duplication/reordering at the fabric layer, revocation still
 //      converges — and far inside the Te staleness bound — while the
 //      injected_loss drop counter proves the faults actually fired.
 //
-// Socket backends run single-process: every node id routes to the
+// The socket backend runs single-process: every node id routes to the
 // transport's own port (add_peer self-wiring), so frames make a real kernel
 // round trip through the shared socket and the full encode/decode path.
 #include <gtest/gtest.h>
@@ -77,13 +76,13 @@ proto::ProtocolConfig conformance_config() {
 
 /// One whole deployment — managers (3 flat, 2 per group sharded), 2 app
 /// hosts, each on its own ThreadedEnv — over whichever fabric backend the
-/// kind names. Socket backends self-wire every node id to the transport's
-/// bound port. `shard_groups` 0 = the flat reference deployment; 1 = the
+/// kind names. The socket backend self-wires every node id to the
+/// transport's bound port. `shard_groups` 0 = the flat reference deployment; 1 = the
 /// one-shard sharded vocabulary (single_group map installed everywhere, must
 /// behave bit-identically to flat); >= 2 = a real multi-shard partition.
 struct Deployment {
   std::unique_ptr<Fabric> fabric;
-  SocketTransport* socket = nullptr;  ///< non-null for udp/reactor
+  SocketTransport* socket = nullptr;  ///< non-null for reactor
   ns::NameService names;
   auth::KeyRegistry keys;
   shard::ShardMap map;  ///< empty when flat
@@ -348,8 +347,7 @@ std::vector<std::string> run_script_on(Deployment& d,
 }
 
 void run_conformance_seeds(std::uint64_t first_seed, int count) {
-  const BackendKind kinds[] = {BackendKind::kLoopback, BackendKind::kUdp,
-                               BackendKind::kReactor};
+  const BackendKind kinds[] = {BackendKind::kLoopback, BackendKind::kReactor};
   for (std::uint64_t seed = first_seed; seed < first_seed + count; ++seed) {
     const SeedScript script = make_script(seed);
     std::vector<std::vector<std::string>> logs;
@@ -362,8 +360,7 @@ void run_conformance_seeds(std::uint64_t first_seed, int count) {
           << " diverged from the reference model";
     }
     // The headline assertion: identical protocol outcomes on every backend.
-    EXPECT_EQ(logs[0], logs[1]) << "seed " << seed << ": loopback vs udp";
-    EXPECT_EQ(logs[0], logs[2]) << "seed " << seed << ": loopback vs reactor";
+    EXPECT_EQ(logs[0], logs[1]) << "seed " << seed << ": loopback vs reactor";
   }
 }
 
@@ -377,9 +374,9 @@ TEST(Conformance, SeedSweepShard3) { run_conformance_seeds(76, 25); }
 /// which frames carry a revocation, not what the protocol decides. Replays
 /// the same 100 seeded scripts with RevokeBatch coalescing and with relay
 /// trees: the decision log must equal the reference model entry for entry.
-/// Unicast on all three backends is the sweep above; the collective kinds
-/// run on the loopback fabric, where the strategies exercise the identical
-/// code path they use on the socket backends.
+/// Unicast on both backends is the sweep above; the collective kinds run
+/// on the loopback fabric, where the strategies exercise the identical code
+/// path they use on the socket backend.
 void run_dissemination_seeds(DisseminationKind kind, std::uint64_t first_seed,
                              int count) {
   for (std::uint64_t seed = first_seed; seed < first_seed + count; ++seed) {
@@ -421,33 +418,29 @@ TEST(Conformance, TreeSeedSweepShard3) {
 // ------------------------------------------------------- canonical script
 
 // The scripted sequence test_runtime.cpp pins against SimEnv and the
-// loopback fabric, replayed over real kernel sockets on both socket
-// backends. The revoke lands at a different manager than the grant, so the
+// loopback fabric, replayed over real kernel sockets. The revoke lands at a different manager than the grant, so the
 // deny at the end additionally proves cross-manager update propagation.
 TEST(Conformance, CanonicalScriptMatchesOnSocketBackends) {
-  for (const BackendKind kind : {BackendKind::kUdp, BackendKind::kReactor}) {
-    SCOPED_TRACE(to_cstring(kind));
-    Deployment d(kind);
-    ASSERT_NE(d.fabric, nullptr);
-    const UserId alice(7);
-    const UserId mallory(8);
+  Deployment d(BackendKind::kReactor);
+  ASSERT_NE(d.fabric, nullptr);
+  const UserId alice(7);
+  const UserId mallory(8);
 
-    std::vector<std::string> log;
-    log.push_back(barrier_check(d, 0, alice));
-    ASSERT_TRUE(barrier_update(d, 0, acl::Op::kAdd, alice));
-    log.push_back(barrier_check(d, 1, alice));
-    log.push_back(barrier_check(d, 1, alice));
-    log.push_back(barrier_check(d, 0, mallory));
-    ASSERT_TRUE(barrier_update(d, 1, acl::Op::kRevoke, alice));
-    ASSERT_TRUE(settle_revoked(d, alice));
-    log.push_back(barrier_check(d, 1, alice));
+  std::vector<std::string> log;
+  log.push_back(barrier_check(d, 0, alice));
+  ASSERT_TRUE(barrier_update(d, 0, acl::Op::kAdd, alice));
+  log.push_back(barrier_check(d, 1, alice));
+  log.push_back(barrier_check(d, 1, alice));
+  log.push_back(barrier_check(d, 0, mallory));
+  ASSERT_TRUE(barrier_update(d, 1, acl::Op::kRevoke, alice));
+  ASSERT_TRUE(settle_revoked(d, alice));
+  log.push_back(barrier_check(d, 1, alice));
 
-    const std::vector<std::string> expected{
-        "deny/quorum-denied", "allow/quorum-granted", "allow/cache-hit",
-        "deny/quorum-denied", "deny/quorum-denied",
-    };
-    EXPECT_EQ(log, expected);
-  }
+  const std::vector<std::string> expected{
+      "deny/quorum-denied", "allow/quorum-granted", "allow/cache-hit",
+      "deny/quorum-denied", "deny/quorum-denied",
+  };
+  EXPECT_EQ(log, expected);
 }
 
 // --------------------------------------------------- sharded deployments
@@ -455,10 +448,10 @@ TEST(Conformance, CanonicalScriptMatchesOnSocketBackends) {
 // A one-shard sharded deployment — the whole key space owned by one group,
 // expressed through ShardMap::single_group and installed on the name
 // service and every manager — must be bit-identical to the flat reference:
-// same model-predicted decision log, seed for seed, on all three backends.
+// same model-predicted decision log, seed for seed, on both backends.
 TEST(Conformance, OneShardShardedMatchesFlatReference) {
   for (const BackendKind kind :
-       {BackendKind::kLoopback, BackendKind::kUdp, BackendKind::kReactor}) {
+       {BackendKind::kLoopback, BackendKind::kReactor}) {
     SCOPED_TRACE(to_cstring(kind));
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
       const SeedScript script = make_script(seed);
@@ -477,7 +470,7 @@ TEST(Conformance, OneShardShardedMatchesFlatReference) {
 // the decision logs must still match it exactly.
 TEST(Conformance, MultiShardSeedSweepMatchesReference) {
   for (const BackendKind kind :
-       {BackendKind::kLoopback, BackendKind::kUdp, BackendKind::kReactor}) {
+       {BackendKind::kLoopback, BackendKind::kReactor}) {
     SCOPED_TRACE(to_cstring(kind));
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
       const SeedScript script = make_script(seed);
@@ -496,7 +489,7 @@ TEST(Conformance, MultiShardSeedSweepMatchesReference) {
 // groups (mallory's check may land on a different group than alice's).
 TEST(Conformance, MultiShardCanonicalScriptMatchesReferenceDecisions) {
   for (const BackendKind kind :
-       {BackendKind::kLoopback, BackendKind::kUdp, BackendKind::kReactor}) {
+       {BackendKind::kLoopback, BackendKind::kReactor}) {
     SCOPED_TRACE(to_cstring(kind));
     Deployment d(kind, /*reliable=*/false, /*shard_groups=*/2);
     ASSERT_NE(d.fabric, nullptr);
@@ -533,46 +526,42 @@ TEST(Conformance, MultiShardCanonicalScriptMatchesReferenceDecisions) {
 // frames really were dropped along the way. Duplication exercises update
 // and notification idempotence; reordering holds one frame back per pair.
 TEST(Conformance, RevocationConvergesUnderInjectedFaults) {
-  for (const BackendKind kind : {BackendKind::kUdp, BackendKind::kReactor}) {
-    SCOPED_TRACE(to_cstring(kind));
-    Deployment d(kind);
-    ASSERT_NE(d.fabric, nullptr);
-    ASSERT_NE(d.socket, nullptr);
-    FaultPlan plan;
-    plan.seed = 7;
-    plan.loss = 0.15;
-    plan.duplicate = 0.1;
-    plan.reorder = 0.1;
-    d.socket->set_fault_plan(plan);
-    const std::uint64_t lost_before = drop_count("injected_loss");
+  Deployment d(BackendKind::kReactor);
+  ASSERT_NE(d.fabric, nullptr);
+  ASSERT_NE(d.socket, nullptr);
+  FaultPlan plan;
+  plan.seed = 7;
+  plan.loss = 0.15;
+  plan.duplicate = 0.1;
+  plan.reorder = 0.1;
+  d.socket->set_fault_plan(plan);
+  const std::uint64_t lost_before = drop_count("injected_loss");
 
-    const UserId alice(7);
-    ASSERT_TRUE(barrier_update(d, 0, acl::Op::kAdd, alice, 30000));
-    // Under loss a single check may need protocol retries; poll to allow.
-    ASSERT_TRUE(eventually(
-        [&] { return barrier_check(d, 0, alice, 5000).rfind("allow/", 0) == 0; },
-        30000));
+  const UserId alice(7);
+  ASSERT_TRUE(barrier_update(d, 0, acl::Op::kAdd, alice, 30000));
+  // Under loss a single check may need protocol retries; poll to allow.
+  ASSERT_TRUE(eventually(
+      [&] { return barrier_check(d, 0, alice, 5000).rfind("allow/", 0) == 0; },
+      30000));
 
-    const auto revoke_start = std::chrono::steady_clock::now();
-    ASSERT_TRUE(barrier_update(d, 0, acl::Op::kRevoke, alice, 30000));
-    ASSERT_TRUE(settle_revoked(d, alice, 30000));
-    const auto elapsed = std::chrono::steady_clock::now() - revoke_start;
+  const auto revoke_start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(barrier_update(d, 0, acl::Op::kRevoke, alice, 30000));
+  ASSERT_TRUE(settle_revoked(d, alice, 30000));
+  const auto elapsed = std::chrono::steady_clock::now() - revoke_start;
 
-    // Te is the contract: revocation latency stayed far inside the bound.
-    EXPECT_LT(elapsed, std::chrono::minutes(2));
-    // And the adverse network was real, not a no-op plan.
-    EXPECT_GT(drop_count("injected_loss"), lost_before);
-  }
+  // Te is the contract: revocation latency stayed far inside the bound.
+  EXPECT_LT(elapsed, std::chrono::minutes(2));
+  // And the adverse network was real, not a no-op plan.
+  EXPECT_GT(drop_count("injected_loss"), lost_before);
 }
 
 // -------------------------------- reliable delivery under sustained loss
 
 // The PR's acceptance bar: with the reliability layer on and 10%+ injected
-// loss on a real socket backend, the seeded scripts still match the
+// loss on the real socket backend, the seeded scripts still match the
 // reference model *exactly* — zero lost reliable messages, zero double
 // deliveries (a dup would flip a cache-hit label) — and the counters prove
-// both the loss and the recovery were real. Sharded per backend so the two
-// sweeps run concurrently under `ctest -j`.
+// both the loss and the recovery were real.
 void run_reliable_loss_seeds(BackendKind kind, std::uint64_t first_seed,
                              int count) {
   const std::uint64_t lost_before = drop_count("injected_loss");
@@ -596,10 +585,6 @@ void run_reliable_loss_seeds(BackendKind kind, std::uint64_t first_seed,
   EXPECT_GT(drop_count("injected_loss"), lost_before);
   EXPECT_GT(obs::Registry::global().counter("wan_retransmits_total").value(),
             retx_before);
-}
-
-TEST(Conformance, ReliableSweepUnderLossUdp) {
-  run_reliable_loss_seeds(BackendKind::kUdp, 1, 6);
 }
 
 TEST(Conformance, ReliableSweepUnderLossReactor) {

@@ -1,9 +1,9 @@
 // ReliableChannel tests: the ack/retransmit/dedup layer over the socket
-// fabrics must turn lossy UDP into exactly-once delivery for reliable
-// messages — and must do so identically on both backends. Pins:
+// transport must turn lossy UDP into exactly-once delivery for reliable
+// messages. Pins:
 //
 //   * injected loss on the receive side is recovered by retransmission, and
-//     recovery never double-delivers (udp and reactor);
+//     recovery never double-delivers;
 //   * duplicated frames are shed by the receive-side dedup, counted;
 //   * a queue-full shed of a reliable frame is recovered by the next
 //     retransmit (the PR's silent-overflow regression: the bounded outbound
@@ -33,10 +33,9 @@
 #include "obs/metrics.hpp"
 #include "proto/messages.hpp"
 #include "proto/wire.hpp"
-#include "runtime/reactor_transport.hpp"
 #include "runtime/reliable_channel.hpp"
+#include "runtime/socket_base.hpp"
 #include "runtime/threaded_env.hpp"
-#include "runtime/udp_transport.hpp"
 
 namespace wan::runtime {
 namespace {
@@ -71,28 +70,26 @@ ReliabilityOptions fast_reliability(int retry_budget = 50) {
   return r;
 }
 
-template <typename Transport>
-std::unique_ptr<Transport> make_reliable_transport(
+std::unique_ptr<SocketTransport> make_reliable_transport(
     const ReliabilityOptions& r, std::size_t send_queue_limit = 1024) {
   EnvOptions opts;
   opts.listen = "127.0.0.1:0";
   opts.reliability = r;
   opts.send_queue_limit = send_queue_limit;
   std::string error;
-  auto t = Transport::create(opts, &error);
+  auto t = SocketTransport::create(opts, &error);
   EXPECT_NE(t, nullptr) << error;
   return t;
 }
 
 /// Host 1 (a) and host 2 (b) cross-wired with the reliability layer on.
 /// Collects the read_ids of every VersionQuery delivered at b.
-template <typename Transport>
 struct ReliablePair {
   explicit ReliablePair(const ReliabilityOptions& r,
                         std::size_t a_queue_limit = 1024) {
     proto::register_wire_messages();
-    a = make_reliable_transport<Transport>(r, a_queue_limit);
-    b = make_reliable_transport<Transport>(r);
+    a = make_reliable_transport(r, a_queue_limit);
+    b = make_reliable_transport(r);
     a->add_peer(HostId(2), NodeAddress{"127.0.0.1", b->local_port()});
     b->add_peer(HostId(1), NodeAddress{"127.0.0.1", a->local_port()});
     env_a = std::make_unique<ThreadedEnv>(*a);
@@ -131,7 +128,7 @@ struct ReliablePair {
     return {delivered.begin(), delivered.end()};
   }
 
-  std::unique_ptr<Transport> a, b;
+  std::unique_ptr<SocketTransport> a, b;
   std::unique_ptr<ThreadedEnv> env_a, env_b;
   std::mutex mu;
   std::vector<std::uint64_t> delivered;
@@ -140,10 +137,9 @@ struct ReliablePair {
 // Injected loss on the receiver sheds ~30% of data frames (and their
 // retransmissions, independently); the channel delivers every message anyway,
 // exactly once, and quiesces once everything is acked.
-template <typename Transport>
-void run_loss_recovery() {
+TEST(ReliableChannel, LossRecoveredExactlyOnceReactor) {
   constexpr int kMessages = 50;
-  ReliablePair<Transport> pair(fast_reliability());
+  ReliablePair pair(fast_reliability());
   FaultPlan plan;
   plan.seed = 11;
   plan.loss = 0.3;
@@ -164,19 +160,11 @@ void run_loss_recovery() {
       [&] { return pair.a->reliable_channel()->in_flight() == 0; }, 20000));
 }
 
-TEST(ReliableChannel, LossRecoveredExactlyOnceUdp) {
-  run_loss_recovery<UdpTransport>();
-}
-
-TEST(ReliableChannel, LossRecoveredExactlyOnceReactor) {
-  run_loss_recovery<ReactorTransport>();
-}
-
 // Every inbound frame duplicated: the dedup watermark drops the copies and
 // counts them; delivery stays exactly-once.
 TEST(ReliableChannel, DuplicatedFramesAreDedupedAndCounted) {
   constexpr int kMessages = 10;
-  ReliablePair<UdpTransport> pair(fast_reliability());
+  ReliablePair pair(fast_reliability());
   FaultPlan plan;
   plan.seed = 3;
   plan.duplicate = 1.0;
@@ -202,7 +190,7 @@ TEST(ReliableChannel, DuplicatedFramesAreDedupedAndCounted) {
 // re-enqueues until every one of them lands.
 TEST(ReliableChannel, QueueFullShedIsRecoveredByRetransmit) {
   constexpr int kMessages = 40;
-  ReliablePair<UdpTransport> pair(fast_reliability(/*retry_budget=*/200),
+  ReliablePair pair(fast_reliability(/*retry_budget=*/200),
                                   /*a_queue_limit=*/2);
 
   const std::uint64_t full_before = drop_count("queue_full");
@@ -238,7 +226,7 @@ TEST(ReliableChannel, PeerUnreachableFiresAfterRetryBudget) {
                           &len),
             0);
 
-  auto t = make_reliable_transport<UdpTransport>(
+  auto t = make_reliable_transport(
       fast_reliability(/*retry_budget=*/3));
   std::atomic<std::uint32_t> dead_peer{0};
   std::atomic<std::size_t> abandoned{0};
@@ -271,7 +259,7 @@ TEST(ReliableChannel, PeerUnreachableFiresAfterRetryBudget) {
 // Heartbeats (reliable() == false) bypass the channel: they deliver on the
 // raw path and never enter the in-flight table or the retransmit schedule.
 TEST(ReliableChannel, HeartbeatsBypassTheChannel) {
-  ReliablePair<UdpTransport> pair(fast_reliability());
+  ReliablePair pair(fast_reliability());
   std::atomic<int> pings{0};
   pair.env_b->transport().register_endpoint(
       HostId(2), [&](HostId, const net::MessagePtr&) { pings.fetch_add(1); });
@@ -295,7 +283,7 @@ TEST(ReliableChannel, HeartbeatsBypassTheChannel) {
 // exactly once.
 TEST(ReliableChannel, BidirectionalTrafficDrainsBothFlows) {
   constexpr int kEach = 20;
-  ReliablePair<UdpTransport> pair(fast_reliability());
+  ReliablePair pair(fast_reliability());
   std::mutex mu;
   std::set<std::uint64_t> at_a;
   pair.env_a->transport().register_endpoint(

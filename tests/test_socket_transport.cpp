@@ -1,13 +1,17 @@
-// ReactorTransport tests: the epoll + recvmmsg/sendmmsg backend must match
-// UdpTransport observable-for-observable — delivery onto the destination
-// loop, round trips, one-way inbound blocking, labelled send-path drops,
-// idempotent shutdown — while adding the batched-I/O behaviors worth pinning
-// directly: bursts larger than one syscall batch all arrive, and a recvmmsg
-// batch mixing valid frames with garbage rejects per-frame (each reject in
-// its labelled counter, every valid neighbour still delivered). The
-// deterministic fault plan (socket_base.hpp) is exercised here at the
-// transport layer: same plan + same arrival sequence -> same losses, run to
-// run; duplication doubles deliveries; reordering swaps adjacent frames.
+// SocketTransport tests: ThreadedEnvs in one process, each transport on its
+// own 127.0.0.1 ephemeral port, exchanging real datagrams through the wire
+// codec. Covers delivery onto the destination loop, round trips, one-way
+// inbound blocking (the partition primitive of the multi-process smoke),
+// down endpoints, labelled send-path drops, idempotent shutdown, and
+// topology parsing; plus the batched-I/O behaviors: bursts larger than one
+// syscall batch all arrive, and a recvmmsg batch mixing valid frames with
+// garbage rejects per-frame (each reject in its labelled counter, every
+// valid neighbour still delivered). Sender authenticity is pinned at the
+// transport (a frame whose header names a sender it did not come from is a
+// spoofed_source drop) and end to end (a forged manager reply cannot grant
+// access). The deterministic fault plan is exercised at the transport
+// layer: same plan + same arrival sequence -> same losses, run to run;
+// duplication doubles deliveries; reordering swaps adjacent frames.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -22,17 +26,18 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/codec.hpp"
 #include "obs/metrics.hpp"
+#include "proto/host.hpp"
 #include "proto/messages.hpp"
 #include "proto/wire.hpp"
-#include "runtime/reactor_transport.hpp"
+#include "runtime/socket_base.hpp"
 #include "runtime/threaded_env.hpp"
-#include "runtime/udp_transport.hpp"
 
 namespace wan::runtime {
 namespace {
@@ -53,16 +58,30 @@ std::uint64_t drop_count(const char* reason) {
       .value();
 }
 
-std::unique_ptr<ReactorTransport> make_transport() {
+std::unique_ptr<SocketTransport> make_transport() {
   EnvOptions opts;
   opts.listen = "127.0.0.1:0";
   std::string error;
-  auto t = ReactorTransport::create(opts, &error);
+  auto t = SocketTransport::create(opts, &error);
   EXPECT_NE(t, nullptr) << error;
   return t;
 }
 
-/// Two nodes' worth of plumbing on two reactor sockets, cross-wired.
+/// Binds a raw UDP socket to an ephemeral 127.0.0.1 port and returns the
+/// port, so a test can register the socket as some host's address.
+std::uint16_t bind_loopback(int fd) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr),
+            0);
+  socklen_t len = sizeof addr;
+  EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  return ntohs(addr.sin_port);
+}
+
+/// Two single-node processes' worth of plumbing, minus the processes: A and
+/// B each get their own socket, env, and endpoint, cross-wired via add_peer.
 struct Pair {
   Pair() {
     proto::register_wire_messages();
@@ -78,13 +97,14 @@ struct Pair {
     b->shutdown();
   }
 
-  std::unique_ptr<ReactorTransport> a, b;
+  std::unique_ptr<SocketTransport> a, b;
   std::unique_ptr<ThreadedEnv> env_a, env_b;
 };
 
 /// One receiving node plus a raw sender socket, for injecting arbitrary
 /// datagrams (garbage, hand-built frames, fault-plan probes) from outside
-/// any transport.
+/// any transport. The raw socket is registered as host 1's address, the
+/// sender its frames claim.
 struct RawSenderRig {
   explicit RawSenderRig(const FaultPlan* plan = nullptr) {
     proto::register_wire_messages();
@@ -99,6 +119,8 @@ struct RawSenderRig {
         });
     send_fd = ::socket(AF_INET, SOCK_DGRAM, 0);
     EXPECT_GE(send_fd, 0);
+    transport->add_peer(HostId(1),
+                        NodeAddress{"127.0.0.1", bind_loopback(send_fd)});
     std::memset(&dest, 0, sizeof dest);
     dest.sin_family = AF_INET;
     dest.sin_port = htons(transport->local_port());
@@ -110,17 +132,21 @@ struct RawSenderRig {
   }
 
   void send_raw(const std::vector<std::uint8_t>& bytes) {
+    send_raw_from(send_fd, bytes);
+  }
+  void send_raw_from(int fd, const std::vector<std::uint8_t>& bytes) {
     const auto sent =
-        ::sendto(send_fd, bytes.data(), bytes.size(), 0,
+        ::sendto(fd, bytes.data(), bytes.size(), 0,
                  reinterpret_cast<const sockaddr*>(&dest), sizeof dest);
     EXPECT_EQ(static_cast<std::size_t>(sent), bytes.size());
   }
 
-  /// A valid frame carrying HeartbeatPing{app, seq} from host 1 to host 2.
-  static std::vector<std::uint8_t> ping_frame(std::uint64_t seq) {
+  /// A valid frame carrying HeartbeatPing{app, seq} from `from` to host 2.
+  static std::vector<std::uint8_t> ping_frame(std::uint64_t seq,
+                                              HostId from = HostId(1)) {
     const auto msg = net::make_message<proto::HeartbeatPing>(AppId(1), seq);
     const auto frame =
-        net::CodecRegistry::global().encode(HostId(1), HostId(2), *msg);
+        net::CodecRegistry::global().encode(from, HostId(2), *msg);
     EXPECT_TRUE(frame.has_value());
     return frame.value_or(std::vector<std::uint8_t>{});
   }
@@ -134,7 +160,7 @@ struct RawSenderRig {
     return seqs;
   }
 
-  std::unique_ptr<ReactorTransport> transport;
+  std::unique_ptr<SocketTransport> transport;
   std::unique_ptr<ThreadedEnv> env;
   std::mutex mu;
   std::vector<std::uint64_t> seqs;
@@ -142,9 +168,7 @@ struct RawSenderRig {
   sockaddr_in dest{};
 };
 
-// ------------------------------------------------- UdpTransport parity
-
-TEST(ReactorTransport, DeliversAcrossRealSockets) {
+TEST(SocketTransport, DeliversAcrossRealSockets) {
   Pair pair;
   std::atomic<int> received{0};
   std::atomic<std::uint64_t> seq{0};
@@ -168,7 +192,7 @@ TEST(ReactorTransport, DeliversAcrossRealSockets) {
   EXPECT_EQ(seq.load(), 4242u);
 }
 
-TEST(ReactorTransport, RoundTripRequestReply) {
+TEST(SocketTransport, RoundTripRequestReply) {
   Pair pair;
   std::atomic<int> replies{0};
   pair.env_b->transport().register_endpoint(
@@ -192,7 +216,7 @@ TEST(ReactorTransport, RoundTripRequestReply) {
   ASSERT_TRUE(eventually([&] { return replies.load() == 1; }));
 }
 
-TEST(ReactorTransport, BlockInboundFromDropsOneDirectionOnly) {
+TEST(SocketTransport, BlockInboundFromDropsOneDirectionOnly) {
   Pair pair;
   std::atomic<int> at_b{0};
   std::atomic<int> at_a{0};
@@ -228,7 +252,7 @@ TEST(ReactorTransport, BlockInboundFromDropsOneDirectionOnly) {
   ASSERT_TRUE(eventually([&] { return at_b.load() == 1; }));
 }
 
-TEST(ReactorTransport, SendPathDropReasonsAreCounted) {
+TEST(SocketTransport, SendPathDropReasonsAreCounted) {
   Pair pair;
   pair.env_a->transport().register_endpoint(
       HostId(1), [](HostId, const net::MessagePtr&) {});
@@ -260,13 +284,41 @@ TEST(ReactorTransport, SendPathDropReasonsAreCounted) {
   EXPECT_EQ(drop_count("oversize"), oversize_before + 1);
 }
 
-TEST(ReactorTransport, CreateRejectsBadOptions) {
+TEST(SocketTransport, DownEndpointDropsInboundDeliveries) {
+  Pair pair;
+  std::atomic<int> at_b{0};
+  pair.env_b->transport().register_endpoint(
+      HostId(2), [&](HostId, const net::MessagePtr&) { at_b.fetch_add(1); });
+  pair.env_a->transport().register_endpoint(
+      HostId(1), [](HostId, const net::MessagePtr&) {});
+
+  const std::uint64_t down_before = drop_count("endpoint_down");
+  pair.env_b->transport().set_endpoint_down(HostId(2), true);
+  pair.env_a->run_sync([&] {
+    pair.env_a->transport().send(
+        HostId(1), HostId(2),
+        net::make_message<proto::HeartbeatPing>(AppId(1), 1));
+  });
+  ASSERT_TRUE(
+      eventually([&] { return drop_count("endpoint_down") > down_before; }));
+  EXPECT_EQ(at_b.load(), 0);
+
+  pair.env_b->transport().set_endpoint_down(HostId(2), false);
+  pair.env_a->run_sync([&] {
+    pair.env_a->transport().send(
+        HostId(1), HostId(2),
+        net::make_message<proto::HeartbeatPing>(AppId(1), 2));
+  });
+  ASSERT_TRUE(eventually([&] { return at_b.load() == 1; }));
+}
+
+TEST(SocketTransport, CreateRejectsBadOptions) {
   proto::register_wire_messages();
   {
     EnvOptions opts;
     opts.listen = "not-an-address";
     std::string error;
-    EXPECT_EQ(ReactorTransport::create(opts, &error), nullptr);
+    EXPECT_EQ(SocketTransport::create(opts, &error), nullptr);
     EXPECT_FALSE(error.empty());
   }
   {
@@ -274,12 +326,12 @@ TEST(ReactorTransport, CreateRejectsBadOptions) {
     opts.listen = "127.0.0.1:0";
     opts.topology_path = "/nonexistent/topology.txt";
     std::string error;
-    EXPECT_EQ(ReactorTransport::create(opts, &error), nullptr);
+    EXPECT_EQ(SocketTransport::create(opts, &error), nullptr);
     EXPECT_FALSE(error.empty());
   }
 }
 
-TEST(ReactorTransport, ShutdownIsIdempotentAndStopsEnvs) {
+TEST(SocketTransport, ShutdownIsIdempotentAndStopsEnvs) {
   auto t = make_transport();
   auto env = std::make_unique<ThreadedEnv>(*t);
   env->transport().register_endpoint(HostId(1),
@@ -294,9 +346,9 @@ TEST(ReactorTransport, ShutdownIsIdempotentAndStopsEnvs) {
 // A burst several times kBatch wide: sendmmsg flushes it in batches, the
 // receive side drains with recvmmsg across multiple partial batches, and
 // every frame arrives exactly once.
-TEST(ReactorTransport, BurstLargerThanOneBatchAllArrives) {
+TEST(SocketTransport, BurstLargerThanOneBatchAllArrives) {
   Pair pair;
-  constexpr int kFrames = static_cast<int>(ReactorTransport::kBatch) * 5;
+  constexpr int kFrames = static_cast<int>(SocketTransport::kBatch) * 5;
   std::mutex mu;
   std::set<std::uint64_t> seen;
   pair.env_b->transport().register_endpoint(
@@ -327,7 +379,7 @@ TEST(ReactorTransport, BurstLargerThanOneBatchAllArrives) {
 // One recvmmsg batch mixing valid frames with every reject class: rejects
 // are per-frame (each lands in its labelled counter) and never poison the
 // valid frames around them.
-TEST(ReactorTransport, PartialBatchRejectsGarbagePerFrame) {
+TEST(SocketTransport, PartialBatchRejectsGarbagePerFrame) {
   RawSenderRig rig;
   const std::uint64_t bad_magic_before = drop_count("bad_magic");
   const std::uint64_t truncated_before = drop_count("truncated");
@@ -367,7 +419,7 @@ TEST(ReactorTransport, PartialBatchRejectsGarbagePerFrame) {
 // Same plan, same arrival sequence, fresh transport: the seeded fault
 // stream makes identical drop decisions, so the surviving seq sets match
 // exactly run to run.
-TEST(ReactorTransport, InjectedLossIsDeterministicAcrossRuns) {
+TEST(SocketTransport, InjectedLossIsDeterministicAcrossRuns) {
   constexpr int kFrames = 100;
   FaultPlan plan;
   plan.seed = 99;
@@ -400,7 +452,7 @@ TEST(ReactorTransport, InjectedLossIsDeterministicAcrossRuns) {
   EXPECT_EQ(survivors_a.size() + lost_a, static_cast<std::size_t>(kFrames));
 }
 
-TEST(ReactorTransport, DuplicatePlanDeliversEveryFrameTwice) {
+TEST(SocketTransport, DuplicatePlanDeliversEveryFrameTwice) {
   FaultPlan plan;
   plan.seed = 3;
   plan.duplicate = 1.0;
@@ -413,7 +465,7 @@ TEST(ReactorTransport, DuplicatePlanDeliversEveryFrameTwice) {
             (std::vector<std::uint64_t>{0, 0, 1, 1, 2, 2, 3, 3, 4, 4}));
 }
 
-TEST(ReactorTransport, ReorderPlanSwapsAdjacentFrames) {
+TEST(SocketTransport, ReorderPlanSwapsAdjacentFrames) {
   FaultPlan plan;
   plan.seed = 5;
   plan.reorder = 1.0;
@@ -427,30 +479,212 @@ TEST(ReactorTransport, ReorderPlanSwapsAdjacentFrames) {
   EXPECT_EQ(rig.delivered_seqs(), (std::vector<std::uint64_t>{2, 1}));
 }
 
-// The fault plan lives in SocketTransport, so the thread-per-direction
-// backend honors the identical contract — spot-check duplication there.
-TEST(UdpTransportFaults, DuplicatePlanAppliesToUdpBackendToo) {
-  proto::register_wire_messages();
-  EnvOptions opts;
-  opts.listen = "127.0.0.1:0";
+// ------------------------------------------------------ sender authenticity
+
+// The header's sender must match the datagram's source address: a frame
+// claiming registered host 1 from an unregistered port, and a frame from
+// host 1's own address claiming an unregistered id, are both spoofed_source
+// drops; host 1's genuine frame still delivers.
+TEST(SocketTransport, FrameFromWrongSourceAddressIsDropped) {
+  RawSenderRig rig;
+  const int forger_fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(forger_fd, 0);
+  bind_loopback(forger_fd);
+  const std::uint64_t spoofed_before = drop_count("spoofed_source");
+
+  rig.send_raw_from(forger_fd, RawSenderRig::ping_frame(1));
+  rig.send_raw(RawSenderRig::ping_frame(2, HostId(3)));
+  ASSERT_TRUE(eventually(
+      [&] { return drop_count("spoofed_source") == spoofed_before + 2; }));
+
+  rig.send_raw(RawSenderRig::ping_frame(3));
+  ASSERT_TRUE(eventually([&] { return rig.delivered() == 1; }));
+  EXPECT_EQ(rig.delivered_seqs(), (std::vector<std::uint64_t>{3}));
+  EXPECT_EQ(drop_count("spoofed_source"), spoofed_before + 2);
+  ::close(forger_fd);
+}
+
+/// An app host (id 100) on its own transport whose three managers (ids
+/// 0-2, C = 2) are all registered at one raw "manager" socket the test
+/// drives by hand, so the test sees every QueryRequest and decides who
+/// answers it.
+struct ForgedReplyRig {
+  static constexpr AppId kApp{1};
+  static constexpr HostId kHost{100};
+
+  ForgedReplyRig() {
+    proto::register_wire_messages();
+    manager_fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+    EXPECT_GE(manager_fd, 0);
+    const std::uint16_t manager_port = bind_loopback(manager_fd);
+    timeval tv{};
+    tv.tv_usec = 20 * 1000;
+    ::setsockopt(manager_fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+
+    transport = make_transport();
+    std::vector<HostId> managers;
+    for (std::uint32_t m = 0; m < 3; ++m) {
+      managers.push_back(HostId(m));
+      transport->add_peer(HostId(m), NodeAddress{"127.0.0.1", manager_port});
+    }
+    names.set_managers(kApp, managers);
+    std::memset(&host_addr, 0, sizeof host_addr);
+    host_addr.sin_family = AF_INET;
+    host_addr.sin_port = htons(transport->local_port());
+    host_addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+
+    proto::ProtocolConfig config;
+    config.check_quorum = 2;
+    config.max_attempts = 2;
+    config.query_timeout = sim::Duration::millis(300);
+    env = std::make_unique<ThreadedEnv>(*transport);
+    host = std::make_unique<proto::AppHost>(kHost, *env,
+                                            clk::LocalClock::perfect(), names,
+                                            keys, config);
+    env->run_sync([this] {
+      host->controller().register_app(
+          kApp, [](UserId, const std::string& p) { return p; });
+    });
+  }
+  ~ForgedReplyRig() {
+    transport->shutdown();
+    ::close(manager_fd);
+  }
+
+  /// Starts a check for `user`, then answers every QueryRequest reaching the
+  /// manager socket with a "granted" QueryResponse from the queried manager,
+  /// sent through `reply_fd`, until the check decides.
+  proto::AccessDecision check_answering_from(int reply_fd, UserId user) {
+    std::mutex mu;
+    std::optional<proto::AccessDecision> decision;
+    env->run_sync([&] {
+      host->controller().check_access(
+          kApp, user, [&](const proto::AccessDecision& d) {
+            const std::lock_guard<std::mutex> lock(mu);
+            decision = d;
+          });
+    });
+    const auto decided = [&] {
+      const std::lock_guard<std::mutex> lock(mu);
+      return decision.has_value();
+    };
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    std::vector<std::uint8_t> buf(65536);
+    while (!decided() && std::chrono::steady_clock::now() < deadline) {
+      const ssize_t n = ::recv(manager_fd, buf.data(), buf.size(), 0);
+      if (n <= 0) continue;
+      const auto in = net::CodecRegistry::global().decode(
+          buf.data(), static_cast<std::size_t>(n));
+      if (!in.ok()) continue;
+      const auto* query = net::message_cast<proto::QueryRequest>(in.frame->msg);
+      if (query == nullptr) continue;
+      const proto::QueryResponse granted(
+          query->app, query->user, query->query_id,
+          acl::RightSet(acl::Right::kUse),
+          acl::Version{1, in.frame->to, 0}, sim::Duration::seconds(60));
+      const auto frame =
+          net::CodecRegistry::global().encode(in.frame->to, kHost, granted);
+      EXPECT_TRUE(frame.has_value());
+      ::sendto(reply_fd, frame->data(), frame->size(), 0,
+               reinterpret_cast<const sockaddr*>(&host_addr), sizeof host_addr);
+    }
+    EXPECT_TRUE(decided());
+    const std::lock_guard<std::mutex> lock(mu);
+    return decision.value_or(proto::AccessDecision{});
+  }
+
+  int manager_fd = -1;
+  sockaddr_in host_addr{};
+  ns::NameService names;
+  auth::KeyRegistry keys;
+  std::unique_ptr<SocketTransport> transport;
+  std::unique_ptr<ThreadedEnv> env;
+  std::unique_ptr<proto::AppHost> host;
+};
+
+// A local process on an unregistered port forges well-formed "granted"
+// QueryResponses claiming the queried managers' ids, answering the host's
+// pending quorum before any genuine manager could. The transport drops them
+// as spoofed_source and the check denies. The same replies sent from the
+// managers' registered address are accepted, so the forgeries failed on
+// their source alone.
+TEST(SocketTransport, ForgedManagerReplyCannotGrantAccess) {
+  ForgedReplyRig rig;
+  const int attacker_fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(attacker_fd, 0);
+  bind_loopback(attacker_fd);
+  const std::uint64_t spoofed_before = drop_count("spoofed_source");
+
+  const proto::AccessDecision forged =
+      rig.check_answering_from(attacker_fd, UserId(7));
+  EXPECT_FALSE(forged.allowed);
+  EXPECT_EQ(forged.path, proto::DecisionPath::kUnverifiableDeny);
+  EXPECT_GE(drop_count("spoofed_source"), spoofed_before + 2);
+  ::close(attacker_fd);
+
+  const proto::AccessDecision genuine =
+      rig.check_answering_from(rig.manager_fd, UserId(8));
+  EXPECT_TRUE(genuine.allowed);
+}
+
+// ---------------------------------------------------------------- Topology
+
+TEST(Topology, ParsesEntriesAndComments) {
+  std::istringstream in(
+      "# deployment of three\n"
+      "0 127.0.0.1:9000\n"
+      "\n"
+      "100 node-a.example:9001   # app host\n"
+      "9000 127.0.0.1:9002\n");
   std::string error;
-  auto t = UdpTransport::create(opts, &error);
-  ASSERT_NE(t, nullptr) << error;
-  FaultPlan plan;
-  plan.seed = 3;
-  plan.duplicate = 1.0;
-  t->set_fault_plan(plan);
-  auto env = std::make_unique<ThreadedEnv>(*t);
-  std::atomic<int> got{0};
-  env->transport().register_endpoint(
-      HostId(2), [&](HostId, const net::MessagePtr&) { got.fetch_add(1); });
-  t->add_peer(HostId(2), NodeAddress{"127.0.0.1", t->local_port()});
-  env->run_sync([&] {
-    env->transport().send(HostId(2), HostId(2),
-                          net::make_message<proto::HeartbeatPing>(AppId(1), 1));
-  });
-  ASSERT_TRUE(eventually([&] { return got.load() == 2; }));
-  t->shutdown();
+  const auto topo = Topology::parse(in, &error);
+  ASSERT_TRUE(topo.has_value()) << error;
+  EXPECT_EQ(topo->size(), 3u);
+  ASSERT_NE(topo->find(HostId(100)), nullptr);
+  EXPECT_EQ(topo->find(HostId(100))->host, "node-a.example");
+  EXPECT_EQ(topo->find(HostId(100))->port, 9001);
+  EXPECT_EQ(topo->find(HostId(5)), nullptr);
+}
+
+TEST(Topology, SerializeRoundTrips) {
+  Topology topo;
+  topo.add(HostId(3), NodeAddress{"127.0.0.1", 1234});
+  topo.add(HostId(1), NodeAddress{"example.org", 80});
+  std::istringstream in(topo.serialize());
+  std::string error;
+  const auto again = Topology::parse(in, &error);
+  ASSERT_TRUE(again.has_value()) << error;
+  EXPECT_EQ(again->entries(), topo.entries());
+}
+
+TEST(Topology, RejectsMalformedLines) {
+  const char* bad_inputs[] = {
+      "not-a-number 127.0.0.1:1\n",  // unparseable id
+      "1 127.0.0.1\n",               // missing port
+      "1 127.0.0.1:99999\n",         // port out of range
+      "1 :5\n",                      // empty host
+      "1 127.0.0.1:5 trailing\n",    // trailing non-comment text
+      "1 127.0.0.1:5\n1 127.0.0.1:6\n",  // duplicate id
+  };
+  for (const char* text : bad_inputs) {
+    std::istringstream in(text);
+    std::string error;
+    EXPECT_FALSE(Topology::parse(in, &error).has_value()) << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
+}
+
+TEST(Topology, ParseNodeAddress) {
+  const auto ok = parse_node_address("10.1.2.3:8080");
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->host, "10.1.2.3");
+  EXPECT_EQ(ok->port, 8080);
+  EXPECT_FALSE(parse_node_address("nocolon").has_value());
+  EXPECT_FALSE(parse_node_address(":80").has_value());
+  EXPECT_FALSE(parse_node_address("h:").has_value());
+  EXPECT_FALSE(parse_node_address("h:65536").has_value());
+  EXPECT_FALSE(parse_node_address("h:12x").has_value());
 }
 
 }  // namespace

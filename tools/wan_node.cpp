@@ -18,21 +18,20 @@
 //       processes re-enact the revocation worst case with no coordination
 //       channel beyond the sockets themselves.
 //
-//   wan_node --udp-smoke [--te-ms N] [--backend udp|reactor] [--reliable]
-//            [--loss P] [--verbose]
+//   wan_node --udp-smoke [--te-ms N] [--reliable] [--loss P] [--verbose]
 //       Orchestrator: spawns the 8 node processes (3 managers, 4 hosts,
 //       1 agent) from this same binary, each binding port 0; scrapes the
 //       kernel-assigned ports from their output, then writes the topology
 //       file the children are waiting on (two-phase startup — no
 //       bind-then-close port race). Collects their stdout and asserts the
 //       Te bound across process boundaries. This is what CI runs.
-//       --backend selects the socket fabric: udp (thread-per-direction,
-//       default) or reactor (epoll + batched syscalls). --reliable arms the
-//       ack/retransmit layer in every child; --loss P additionally makes
-//       each child drop fraction P of inbound frames (seeded, deterministic
-//       per child), which only converges because retransmission recovers it.
+//       Every child must also report zero spoofed_source drops.
+//       --reliable arms the ack/retransmit layer in every child; --loss P
+//       additionally makes each child drop fraction P of inbound frames
+//       (seeded, deterministic per child), which only converges because
+//       retransmission recovers it.
 //
-//   wan_node --proc-chaos [--chaos-seed N] [--te-ms N] [--backend ...]
+//   wan_node --proc-chaos [--chaos-seed N] [--te-ms N]
 //       Process-level chaos orchestrator: the same 8-process deployment
 //       (reliability layer on, managers journaling to per-process state
 //       dirs), plus a seeded kill/restart schedule — one non-revoking
@@ -105,9 +104,8 @@
 #include "shard/shard_map.hpp"
 #include "util/rng.hpp"
 #include "runtime/env_options.hpp"
-#include "runtime/reactor_transport.hpp"
+#include "runtime/socket_base.hpp"
 #include "runtime/threaded_env.hpp"
-#include "runtime/udp_transport.hpp"
 
 namespace wan {
 namespace {
@@ -123,7 +121,6 @@ struct Options {
   bool id_set = false;
   std::string listen;    ///< bind override (default: the topology entry)
   std::string topology;  ///< topology file path
-  std::string backend = "udp";  ///< socket fabric: udp | reactor
   int te_ms = 2000;      ///< revocation bound Te (small: this runs wall-clock)
   int delay_us = 1000;   ///< loopback fabric one-way delay (--realtime only)
   bool verbose = false;
@@ -554,13 +551,18 @@ std::unique_ptr<runtime::SocketTransport> open_transport(const Options& opt) {
   eopts.reliability.enabled = opt.reliable;
   // Distinct jitter per node keeps retransmit schedules from synchronizing.
   eopts.reliability.jitter_seed = opt.id + 1;
-  std::optional<runtime::Topology> topo;
+  // A topology that already exists (no --listen, or a restarted node) is
+  // loaded by the transport itself before its reactor starts: the transport
+  // accepts frames only from registered peer addresses, so a peer's frame
+  // must never arrive ahead of that peer's route.
+  std::optional<runtime::Topology> topo =
+      runtime::Topology::load(opt.topology, &error);
+  if (topo) eopts.topology_path = opt.topology;
   if (!opt.listen.empty()) {
     eopts.listen = opt.listen;
   } else {
     // No explicit bind address: this node's topology entry is it, so the
     // file must already exist.
-    topo = runtime::Topology::load(opt.topology, &error);
     if (!topo) {
       role_error(error);
       return nullptr;
@@ -573,12 +575,8 @@ std::unique_ptr<runtime::SocketTransport> open_transport(const Options& opt) {
     }
     eopts.listen = self->to_string();
   }
-  std::unique_ptr<runtime::SocketTransport> transport;
-  if (opt.backend == "reactor") {
-    transport = runtime::ReactorTransport::create(eopts, &error);
-  } else {
-    transport = runtime::UdpTransport::create(eopts, &error);
-  }
+  std::unique_ptr<runtime::SocketTransport> transport =
+      runtime::SocketTransport::create(eopts, &error);
   if (!transport) {
     role_error(error);
     return nullptr;
@@ -594,12 +592,11 @@ std::unique_ptr<runtime::SocketTransport> open_transport(const Options& opt) {
   // topology file everyone is waiting for.
   std::printf("NODE_PORT %u\n", transport->local_port());
   std::fflush(stdout);
+  if (topo) return transport;
+  topo = wait_for_topology(opt.topology, /*timeout_ms=*/15000);
   if (!topo) {
-    topo = wait_for_topology(opt.topology, /*timeout_ms=*/15000);
-    if (!topo) {
-      role_error("topology file '" + opt.topology + "' never appeared");
-      return nullptr;
-    }
+    role_error("topology file '" + opt.topology + "' never appeared");
+    return nullptr;
   }
   for (const auto& [id, addr] : topo->entries()) {
     if (!transport->add_peer(HostId(id), addr)) {
@@ -989,6 +986,13 @@ int run_role(const Options& opt) {
     rc = run_agent(opt, *transport);
   }
   trace.finish();
+  // Every frame of the deployment comes from a registered peer address, so
+  // the orchestrator requires this to read 0.
+  std::printf("SPOOFED_DROPS %llu\n",
+              static_cast<unsigned long long>(
+                  obs::Registry::global()
+                      .counter("wan_udp_drops_total{reason=\"spoofed_source\"}")
+                      .value()));
   return rc;
 }
 
@@ -1132,8 +1136,7 @@ int run_udp_smoke(const Options& opt, const char* argv0) {
         "--id",       std::to_string(id),
         "--topology", topo_path,
         "--te-ms",    std::to_string(opt.te_ms),
-        "--listen",   "127.0.0.1:0",
-        "--backend",  opt.backend};
+        "--listen",   "127.0.0.1:0"};
     if (opt.shards) args.push_back("--shards");
     if (opt.dissemination != runtime::DisseminationKind::kUnicast) {
       args.push_back("--dissemination");
@@ -1163,8 +1166,8 @@ int run_udp_smoke(const Options& opt, const char* argv0) {
     children.push_back(std::move(child));
   }
   if (opt.verbose) {
-    std::printf("  spawned %zu node processes (topology %s, backend %s)\n",
-                children.size(), topo_path.c_str(), opt.backend.c_str());
+    std::printf("  spawned %zu node processes (topology %s)\n",
+                children.size(), topo_path.c_str());
   }
 
   // Phase 2: scrape each child's kernel-assigned port, then publish the
@@ -1211,6 +1214,13 @@ int run_udp_smoke(const Options& opt, const char* argv0) {
     if (child.exit_code != 0) {
       std::fprintf(stderr, "wan_node --udp-smoke: %s exited %d\n",
                    child.name.c_str(), child.exit_code);
+      all_ok = false;
+    }
+    if (scrape_stamp(child.out_path, "SPOOFED_DROPS") !=
+        std::optional<std::int64_t>(0)) {
+      std::fprintf(stderr,
+                   "wan_node --udp-smoke: %s did not report SPOOFED_DROPS 0\n",
+                   child.name.c_str());
       all_ok = false;
     }
   }
@@ -1279,10 +1289,8 @@ int run_udp_smoke(const Options& opt, const char* argv0) {
   }
   std::remove(topo_path.c_str());
   ::rmdir(dir);
-  std::printf("wan_node --udp-smoke: OK (%zu processes over localhost UDP, %s "
-              "backend%s)\n",
-              children.size(), opt.backend.c_str(),
-              opt.shards ? ", sharded" : "");
+  std::printf("wan_node --udp-smoke: OK (%zu processes over localhost UDP%s)\n",
+              children.size(), opt.shards ? ", sharded" : "");
   return 0;
 }
 
@@ -1376,7 +1384,6 @@ int run_proc_chaos(const Options& opt, const char* argv0) {
         "--topology", topo_path,
         "--te-ms",    std::to_string(opt.te_ms),
         "--listen",   listen,
-        "--backend",  opt.backend,
         "--reliable"};
     if (opt.shards) args.push_back("--shards");
     if (opt.dissemination != runtime::DisseminationKind::kUnicast) {
@@ -1685,9 +1692,9 @@ int run_proc_chaos(const Options& opt, const char* argv0) {
   }
   std::remove(topo_path.c_str());
   ::rmdir(dir);
-  std::printf("wan_node --proc-chaos: OK (seed %llu, %s backend%s)\n",
+  std::printf("wan_node --proc-chaos: OK (seed %llu%s)\n",
               static_cast<unsigned long long>(opt.chaos_seed),
-              opt.backend.c_str(), opt.shards ? ", sharded" : "");
+              opt.shards ? ", sharded" : "");
   return 0;
 }
 
@@ -1742,13 +1749,6 @@ int main(int argc, char** argv) {
   cli.add_string("--topology", "FILE",
                  "topology file: one '<host-id> <host>:<port>' per line",
                  &opt.topology);
-  cli.add_value("--backend", "KIND",
-                "socket fabric for --role / --udp-smoke: udp (thread per\n"
-                "direction, default) or reactor (epoll + batched syscalls)",
-                [&](const std::string& v) {
-                  opt.backend = v;
-                  return v == "udp" || v == "reactor";
-                });
   cli.add_value("--te-ms", "N", "revocation bound Te in ms (default 2000)",
                 [&](const std::string& v) {
                   return wan::cli::parse_int(v, &opt.te_ms) && opt.te_ms > 0;
