@@ -36,11 +36,13 @@ void CodecRegistry::register_codec(WireTag tag, TypeId type, EncodeFn encode,
   by_type_.emplace(type.value(), Entry{tag, std::move(encode)});
 }
 
-std::optional<WireTag> CodecRegistry::tag_of(const Message& msg) const {
+std::optional<CodecRegistry::Encoder> CodecRegistry::encoder_for(
+    const Message& msg) const {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = by_type_.find(msg.type_id().value());
   if (it == by_type_.end()) return std::nullopt;
-  return it->second.tag;
+  // unordered_map never moves a node, so the pointer outlives the lock.
+  return Encoder{it->second.tag, &it->second.encode};
 }
 
 std::optional<std::vector<std::uint8_t>> CodecRegistry::encode(
@@ -53,30 +55,27 @@ std::optional<std::vector<std::uint8_t>> CodecRegistry::encode(
 bool CodecRegistry::encode_into(HostId from, HostId to, const Message& msg,
                                 std::vector<std::uint8_t>* out) const {
   WAN_REQUIRE(out != nullptr);
-  WireTag tag = 0;
-  const EncodeFn* encode = nullptr;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = by_type_.find(msg.type_id().value());
-    if (it == by_type_.end()) {
-      out->clear();
-      return false;
-    }
-    tag = it->second.tag;
-    encode = &it->second.encode;
+  const std::optional<Encoder> encoder = encoder_for(msg);
+  if (!encoder) {
+    out->clear();
+    return false;
   }
-  // Encoders are registered once at startup and never replaced, so calling
-  // through the pointer outside the lock is safe (unordered_map never moves
-  // a node) and keeps payload serialization out of the critical section.
+  return encode_into(*encoder, from, to, msg, out);
+}
+
+bool CodecRegistry::encode_into(const Encoder& encoder, HostId from,
+                                HostId to, const Message& msg,
+                                std::vector<std::uint8_t>* out) {
+  WAN_REQUIRE(out != nullptr && encoder.encode != nullptr);
   WireWriter w(std::move(*out));
   w.u16(kWireMagic);
   w.u8(kWireVersion);
   w.u8(0);  // flags
-  w.u16(tag);
+  w.u16(encoder.tag);
   w.host_id(from);
   w.host_id(to);
   w.u32(0);  // payload length, patched below
-  (*encode)(msg, w);
+  (*encoder.encode)(msg, w);
   *out = w.take();
   if (out->size() > kMaxFrameSize) {
     out->clear();
@@ -119,7 +118,7 @@ CodecRegistry::Decoded CodecRegistry::decode(const std::uint8_t* data,
     out.error = DecodeError::kTruncated;
     return out;
   }
-  DecodeFn decode;
+  const DecodeFn* decode = nullptr;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     const auto it = by_tag_.find(tag);
@@ -127,15 +126,17 @@ CodecRegistry::Decoded CodecRegistry::decode(const std::uint8_t* data,
       out.error = DecodeError::kUnknownTag;
       return out;
     }
-    decode = it->second;
+    decode = &it->second;
   }
+  // Decoders, like encoders, are never replaced once registered: parse
+  // through the pointer outside the lock.
   WireReader payload(data + kWireHeaderSize, payload_len);
-  MessagePtr msg = decode(payload);
+  MessagePtr msg = (*decode)(payload);
   if (msg == nullptr || !payload.ok() || !payload.exhausted()) {
     out.error = DecodeError::kMalformed;
     return out;
   }
-  out.frame = WireFrame{from, to, std::move(msg)};
+  out.frame = WireFrame{from, to, std::move(msg), tag};
   return out;
 }
 

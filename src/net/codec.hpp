@@ -180,11 +180,13 @@ class WireReader {
   bool ok_ = true;
 };
 
-/// A decoded frame: who sent it, who it is for, and the message itself.
+/// A decoded frame: who sent it, who it is for, the message itself, and the
+/// wire tag it arrived under (transports dispatch envelopes by tag).
 struct WireFrame {
   HostId from{};
   HostId to{};
   MessagePtr msg;
+  WireTag tag = 0;
 };
 
 /// Why a decode was rejected (transports feed these into drop counters).
@@ -219,8 +221,22 @@ class CodecRegistry {
   void register_codec(WireTag tag, TypeId type, EncodeFn encode,
                       DecodeFn decode);
 
-  /// The wire tag for a message, or nullopt if its type was never registered.
-  [[nodiscard]] std::optional<WireTag> tag_of(const Message& msg) const;
+  /// A registered type's tag and encoder, resolved under the registry lock
+  /// once; encoding through it takes no lock. Codecs are registered once at
+  /// startup and never replaced, so the pointer stays valid for the life of
+  /// the registry.
+  struct Encoder {
+    WireTag tag = 0;
+    const EncodeFn* encode = nullptr;
+  };
+  /// The encoder for `msg`'s type, or nullopt if it was never registered.
+  [[nodiscard]] std::optional<Encoder> encoder_for(const Message& msg) const;
+
+  /// Encodes a full frame through an already-resolved encoder, recycling
+  /// `out`'s allocation. Returns false (leaving *out cleared) when the frame
+  /// would exceed kMaxFrameSize.
+  static bool encode_into(const Encoder& encoder, HostId from, HostId to,
+                          const Message& msg, std::vector<std::uint8_t>* out);
 
   /// Encodes a full frame (header + payload). Returns nullopt when the type
   /// is unregistered or the frame would exceed kMaxFrameSize.

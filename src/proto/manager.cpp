@@ -1577,4 +1577,11 @@ void ManagerModule::resync(AppId app) {
   begin_sync(app, *ctl);
 }
 
+void ManagerModule::restart_sync(AppId app) {
+  AppCtl* ctl = ctl_of(app);
+  if (!up_ || ctl == nullptr || !ctl->synced) return;
+  ctl->sync_adopts_pending = true;
+  begin_sync(app, *ctl);
+}
+
 }  // namespace wan::proto

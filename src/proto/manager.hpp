@@ -137,6 +137,13 @@ class ManagerModule : private Disseminator::Sink {
   /// crashes; the chaos harness runs it at quiescence for the same reason.
   /// No-op while down, unsynced, or peerless.
   void resync(AppId app);
+  /// Crash-recovery sync for an incarnation restarted from its journal:
+  /// resync(), plus what recover()'s sync also does — adopt the group's
+  /// state for shards stuck in pending_acquire. A new owner restarted after
+  /// a flip re-enters it as a fresh acquisition whose old owners already
+  /// retired their handoffs; without adoption it never answers for the
+  /// shard again. No-op while down, unsynced, or peerless.
+  void restart_sync(AppId app);
 
   [[nodiscard]] bool up() const noexcept { return up_; }
   [[nodiscard]] HostId id() const noexcept { return self_; }

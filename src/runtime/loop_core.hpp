@@ -2,15 +2,18 @@
 // node loop.
 //
 // Extracted from ThreadedEnv (where it began life as a private nested struct)
-// so that transports living outside the env — the UDP socket transport's recv
+// so that transports living outside the env — the socket transport's reactor
 // thread in particular — can enqueue deliveries onto a node's loop without
 // knowing anything else about the env that drives it.
 //
 // A LoopCore is shared by shared_ptr between its env, its timers, and
-// whatever fabric delivers into it; post_at() on a stopped core returns false
-// and drops the work, which is exactly how a delivery to a crashed node
-// should behave. One thread calls run_loop(); everything posted runs
-// serialized on that thread.
+// whatever fabric delivers into it; post_at() and post_batch() on a stopped
+// core return false and drop the work, which is exactly how a delivery to a
+// crashed node should behave. post_batch() is the socket transport's
+// hand-off: every frame one recvmmsg batch carries for this loop is enqueued
+// under one lock hold with one notify_one, instead of a lock and a wake-up
+// per frame. One thread calls run_loop(); everything posted runs serialized
+// on that thread.
 #pragma once
 
 #include <atomic>
@@ -21,6 +24,7 @@
 #include <memory>
 #include <mutex>
 #include <queue>
+#include <span>
 #include <vector>
 
 namespace wan::runtime {
@@ -62,6 +66,24 @@ struct LoopCore {
       if (core->stopped) return false;
       core->queue.push(
           Entry{at, core->next_seq++, std::move(fn), std::move(dead)});
+    }
+    core->cv.notify_one();
+    return true;
+  }
+
+  /// Enqueues every function of `batch`, due now and in order, under one
+  /// lock hold with one notify_one. The functions are moved out of `batch`
+  /// (the caller keeps the storage). Returns false, dropping the whole
+  /// batch, if the loop has stopped.
+  static bool post_batch(const std::shared_ptr<LoopCore>& core,
+                         std::span<std::function<void()>> batch) {
+    {
+      std::lock_guard<std::mutex> lock(core->mu);
+      if (core->stopped) return false;
+      const SteadyTP now = SteadyClock::now();
+      for (std::function<void()>& fn : batch) {
+        core->queue.push(Entry{now, core->next_seq++, std::move(fn), nullptr});
+      }
     }
     core->cv.notify_one();
     return true;

@@ -27,27 +27,36 @@ ReliableChannel::NowFn local_epoch_now() {
   };
 }
 
+/// The registered encoder of an envelope type (registering the tag 16/17
+/// codecs first), identified by a sample instance of it.
+net::CodecRegistry::Encoder envelope_encoder(const net::Message& sample) {
+  net::register_reliable_codecs();
+  const std::optional<net::CodecRegistry::Encoder> encoder =
+      net::CodecRegistry::global().encoder_for(sample);
+  WAN_REQUIRE(encoder.has_value());
+  return *encoder;
+}
+
 }  // namespace
 
 ReliableChannel::ReliableChannel(const ReliabilityOptions& opts,
                                  EnqueueFn enqueue, ResolveFn resolve,
-                                 DeliverFn deliver, NowFn now_nanos)
+                                 NowFn now_nanos)
     : opts_(opts),
       enqueue_(std::move(enqueue)),
       resolve_(std::move(resolve)),
-      deliver_(std::move(deliver)),
       now_nanos_(now_nanos ? std::move(now_nanos) : local_epoch_now()),
+      data_encoder_(envelope_encoder(net::ReliableData(0, 0, 0, {}))),
+      ack_encoder_(envelope_encoder(net::ReliableAck(0, 0))),
       jitter_rng_(opts.jitter_seed),
       retransmits_(obs::Registry::global().counter("wan_retransmits_total")),
       acks_sent_(obs::Registry::global().counter("wan_acks_total")),
       dup_drops_(obs::Registry::global().counter("wan_dup_drops_total")),
       expired_(obs::Registry::global().counter("wan_reliable_expired_total")),
       rtt_(obs::Registry::global().histogram("wan_reliable_rtt_seconds")) {
-  WAN_REQUIRE(enqueue_ != nullptr && resolve_ != nullptr &&
-              deliver_ != nullptr);
+  WAN_REQUIRE(enqueue_ != nullptr && resolve_ != nullptr);
   WAN_REQUIRE(opts_.retry_budget >= 1);
   WAN_REQUIRE(opts_.backoff >= 1.0);
-  net::register_reliable_codecs();
   timer_ = std::thread([this] { timer_loop(); });
 }
 
@@ -105,13 +114,12 @@ std::pair<std::uint64_t, std::uint64_t> ReliableChannel::ack_state(
 
 void ReliableChannel::send_reliable(HostId from, HostId to,
                                     const net::Message& msg,
+                                    const net::CodecRegistry::Encoder& encoder,
                                     const ResolvedAddr& dest) {
-  const net::CodecRegistry& codec = net::CodecRegistry::global();
-  std::optional<std::vector<std::uint8_t>> inner =
-      codec.encode(from, to, msg);
-  if (!inner || inner->size() + net::kReliableDataOverhead +
-                    net::kWireHeaderSize >
-                net::kMaxFrameSize) {
+  std::vector<std::uint8_t> inner;
+  if (!net::CodecRegistry::encode_into(encoder, from, to, msg, &inner) ||
+      inner.size() + net::kReliableDataOverhead + net::kWireHeaderSize >
+          net::kMaxFrameSize) {
     // Checked before a sequence number is burned: the receiver's cumulative
     // watermark would wait forever on a seq that was never transmitted.
     count_socket_drop("oversize");
@@ -127,19 +135,18 @@ void ReliableChannel::send_reliable(HostId from, HostId to,
     const std::uint64_t seq = flow.next_seq++;
     sent_seq = seq;
     const auto [cum, bits] = ack_state(flow_key(to.value(), from.value()));
-    const net::ReliableData data(seq, cum, bits, std::move(*inner));
-    std::optional<std::vector<std::uint8_t>> outer =
-        codec.encode(from, to, data);
-    WAN_ASSERT(outer.has_value());  // size pre-checked above
+    const net::ReliableData data(seq, cum, bits, std::move(inner));
+    const bool encoded =
+        net::CodecRegistry::encode_into(data_encoder_, from, to, data, &frame);
+    WAN_ASSERT(encoded);  // size pre-checked above
     const auto now = SteadyClock::now();
     Pending p;
-    p.frame = *outer;
+    p.frame = frame;
     p.dest = dest;
     p.first_sent = now;
     p.rto = to_chrono(opts_.initial_rto);
     p.next_due = now + jittered(p.rto);
     flow.pending.emplace(seq, std::move(p));
-    frame = std::move(*outer);
   }
   cv_.notify_all();  // the new deadline may be the earliest
   trace_flow("rel.send", obs::SpanKind::kSend, from.value(), to.value(),
@@ -194,20 +201,20 @@ void ReliableChannel::send_ack(std::uint32_t data_from,
     return;
   }
   const net::ReliableAck ack(cum, bits);
-  const std::optional<std::vector<std::uint8_t>> frame =
-      net::CodecRegistry::global().encode(HostId(data_to), HostId(data_from),
-                                          ack);
-  WAN_ASSERT(frame.has_value());
-  if (enqueue_(std::move(*frame), *dest)) {
+  std::vector<std::uint8_t> frame;
+  const bool encoded = net::CodecRegistry::encode_into(
+      ack_encoder_, HostId(data_to), HostId(data_from), ack, &frame);
+  WAN_ASSERT(encoded);
+  if (enqueue_(std::move(frame), *dest)) {
     acks_sent_.inc();
     trace_flow("rel.ack", obs::SpanKind::kSend, data_to, data_from,
                static_cast<std::int64_t>(cum));
   }
 }
 
-void ReliableChannel::on_data(std::uint32_t from_value,
-                              std::uint32_t to_value,
-                              const net::ReliableData& data) {
+net::MessagePtr ReliableChannel::on_data(std::uint32_t from_value,
+                                         std::uint32_t to_value,
+                                         const net::ReliableData& data) {
   bool duplicate = false;
   bool out_of_window = false;
   {
@@ -233,12 +240,12 @@ void ReliableChannel::on_data(std::uint32_t from_value,
   }
   if (out_of_window) {
     count_socket_drop("seq_out_of_window");
-    return;
+    return nullptr;
   }
   if (duplicate) {
     dup_drops_.inc();
     send_ack(from_value, to_value);  // the original ack may have been lost
-    return;
+    return nullptr;
   }
 
   // Unwrap. The envelope promised a complete frame; validate it like any
@@ -249,14 +256,14 @@ void ReliableChannel::on_data(std::uint32_t from_value,
   send_ack(from_value, to_value);  // received either way; stop retransmits
   if (!inner.ok()) {
     count_socket_drop(net::to_cstring(inner.error));
-    return;
+    return nullptr;
   }
   if (inner.frame->from.value() != from_value ||
       inner.frame->to.value() != to_value) {
     count_socket_drop("reliable_inner_mismatch");
-    return;
+    return nullptr;
   }
-  deliver_(from_value, to_value, inner.frame->msg);
+  return inner.frame->msg;
 }
 
 void ReliableChannel::on_ack(std::uint32_t from_value, std::uint32_t to_value,

@@ -30,7 +30,7 @@
 // message, or an explicit peer_unreachable.
 //
 // Threading: send_reliable() runs on env loop threads, on_data/on_ack on the
-// transport's receive thread, and one channel-owned timer thread drives
+// transport's reactor thread, and one channel-owned timer thread drives
 // retransmits and expiry. One mutex guards the flow tables; frames are
 // handed to the transport's bounded outbound queue outside it. A queue-full
 // shed of a reliable frame is recovered by the next retransmit — the bounded
@@ -74,10 +74,6 @@ class ReliableChannel {
   /// Peer route lookup (acks travel to the data frame's source).
   using ResolveFn =
       std::function<std::optional<ResolvedAddr>(std::uint32_t host_value)>;
-  /// Delivers an unwrapped inner message to the local endpoint.
-  using DeliverFn = std::function<void(std::uint32_t from_value,
-                                       std::uint32_t to_value,
-                                       net::MessagePtr msg)>;
   /// Fired (off-lock, on the timer thread) when a peer exhausts the retry
   /// budget; `abandoned` counts the frames dropped for it in this sweep.
   using UnreachableFn = std::function<void(HostId peer, std::size_t abandoned)>;
@@ -88,22 +84,28 @@ class ReliableChannel {
   using NowFn = std::function<std::int64_t()>;
 
   ReliableChannel(const ReliabilityOptions& opts, EnqueueFn enqueue,
-                  ResolveFn resolve, DeliverFn deliver, NowFn now_nanos = {});
+                  ResolveFn resolve, NowFn now_nanos = {});
   ~ReliableChannel();
   ReliableChannel(const ReliableChannel&) = delete;
   ReliableChannel& operator=(const ReliableChannel&) = delete;
 
   void set_peer_unreachable(UnreachableFn fn);
 
-  /// Wraps `msg` in a sequenced ReliableData envelope, records it for
+  /// Wraps `msg` (encoded through `encoder`, the caller's one registry
+  /// lookup for it) in a sequenced ReliableData envelope, records it for
   /// retransmission, and enqueues the first transmission.
   void send_reliable(HostId from, HostId to, const net::Message& msg,
+                     const net::CodecRegistry::Encoder& encoder,
                      const ResolvedAddr& dest);
 
   /// Inbound hooks (transport receive path, after fault injection — injected
   /// loss must hit the envelope so retransmission is what recovers it).
-  void on_data(std::uint32_t from_value, std::uint32_t to_value,
-               const net::ReliableData& data);
+  /// on_data acks the envelope and returns the unwrapped inner message for
+  /// the transport to deliver, or nullptr when there is nothing to deliver
+  /// (a duplicate, an out-of-window seq, or a bad inner frame).
+  [[nodiscard]] net::MessagePtr on_data(std::uint32_t from_value,
+                                        std::uint32_t to_value,
+                                        const net::ReliableData& data);
   void on_ack(std::uint32_t from_value, std::uint32_t to_value,
               const net::ReliableAck& ack);
 
@@ -172,8 +174,10 @@ class ReliableChannel {
   const ReliabilityOptions opts_;
   const EnqueueFn enqueue_;
   const ResolveFn resolve_;
-  const DeliverFn deliver_;
   const NowFn now_nanos_;
+  // The envelope codecs, resolved once: the hot paths take no registry lock.
+  const net::CodecRegistry::Encoder data_encoder_;
+  const net::CodecRegistry::Encoder ack_encoder_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -83,6 +83,12 @@ obs::Counter& socket_deliveries() {
   return c;
 }
 
+obs::Counter& socket_handoffs() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("wan_udp_handoffs_total");
+  return c;
+}
+
 void count_socket_drop(const char* reason) {
   obs::Registry::global()
       .counter(std::string("wan_udp_drops_total{reason=\"") + reason + "\"}")
@@ -284,9 +290,6 @@ bool SocketTransport::open(const EnvOptions& opts, std::string* error) {
           if (it == peers_.end()) return std::nullopt;
           return it->second;
         },
-        [this](std::uint32_t from, std::uint32_t to, net::MessagePtr msg) {
-          deliver(from, to, std::move(msg));
-        },
         // Channel spans on the fabric's runtime clock, the same basis as
         // env.now() — merged traces interleave them with protocol spans.
         [this] {
@@ -326,19 +329,21 @@ void SocketTransport::send(HostId from, HostId to, net::MessagePtr msg) {
   sends.inc();
   const std::optional<ResolvedAddr> dest = route_for_send(from, to);
   if (!dest) return;
-  const net::CodecRegistry& codec = net::CodecRegistry::global();
-  if (!codec.tag_of(*msg)) {
+  // The send's one codec-registry lookup; encoding runs outside its lock.
+  const std::optional<net::CodecRegistry::Encoder> encoder =
+      net::CodecRegistry::global().encoder_for(*msg);
+  if (!encoder) {
     count_socket_drop("unregistered_type");
     return;
   }
   if (reliable_ != nullptr && msg->reliable()) {
-    reliable_->send_reliable(from, to, *msg, *dest);
+    reliable_->send_reliable(from, to, *msg, *encoder, *dest);
     return;
   }
   std::vector<std::uint8_t> frame = take_buffer();
-  if (!codec.encode_into(from, to, *msg, &frame)) {
-    // tag_of succeeded, so the only way encode fails is a frame bigger than
-    // one UDP datagram can carry.
+  if (!net::CodecRegistry::encode_into(*encoder, from, to, *msg, &frame)) {
+    // The type is registered, so the only way encode fails is a frame
+    // bigger than one UDP datagram can carry.
     count_socket_drop("oversize");
     recycle_buffer(std::move(frame));
     return;
@@ -358,8 +363,10 @@ void SocketTransport::attach(HostId id, std::shared_ptr<LoopCore> core,
                              Transport::Handler handler) {
   WAN_REQUIRE(id.valid());
   WAN_REQUIRE(handler != nullptr);
+  auto shared =
+      std::make_shared<const Transport::Handler>(std::move(handler));
   std::lock_guard<std::mutex> lock(mu_);
-  endpoints_[id] = Endpoint{std::move(core), std::move(handler), false};
+  endpoints_[id] = Endpoint{std::move(core), std::move(shared), false};
 }
 
 void SocketTransport::set_endpoint_down(HostId id, bool down) {
@@ -390,8 +397,9 @@ void SocketTransport::set_fault_plan(const FaultPlan& plan) {
   std::lock_guard<std::mutex> lock(fault_mu_);
   fault_plan_ = plan;
   fault_rng_ = Rng(plan.seed);
-  faults_armed_ =
-      plan.loss > 0.0 || plan.duplicate > 0.0 || plan.reorder > 0.0;
+  faults_armed_.store(
+      plan.loss > 0.0 || plan.duplicate > 0.0 || plan.reorder > 0.0,
+      std::memory_order_release);
   held_.reset();
 }
 
@@ -411,51 +419,66 @@ std::optional<ResolvedAddr> SocketTransport::route_for_send(HostId from,
   return peer->second;
 }
 
-void SocketTransport::on_datagram(const std::uint8_t* data, std::size_t size,
-                                  const ResolvedAddr& source) {
-  socket_frames_received().inc();
-  const net::CodecRegistry::Decoded decoded =
-      net::CodecRegistry::global().decode(data, size);
-  if (!decoded.ok()) {
-    count_socket_drop(net::to_cstring(decoded.error));
-    return;
-  }
-  const std::uint32_t from = decoded.frame->from.value();
-  const std::uint32_t to = decoded.frame->to.value();
-  net::MessagePtr msg = decoded.frame->msg;
+void SocketTransport::screen(Staging& staging) {
   // Source filtering precedes fault injection and the reliability layer: a
   // forged or blocked envelope must not draw fault decisions, and a one-way
   // partition must swallow the envelope too, or the ack it triggers would
-  // defeat the cut the test armed.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto peer = peers_.find(from);
-    if (peer == peers_.end() || !(peer->second == source)) {
-      count_socket_drop("spoofed_source");
-      return;
+  // defeat the cut the test armed. The destination lookup rides the same
+  // lock hold; a reliable envelope's inner frame must name the same
+  // destination, so one route serves both.
+  std::lock_guard<std::mutex> lock(mu_);
+  for (Arrival& a : staging.arrivals) {
+    if (a.reject != nullptr) continue;  // failed to decode
+    const auto peer = peers_.find(a.from);
+    if (peer == peers_.end() || !(peer->second == a.source)) {
+      a.reject = "spoofed_source";
+      continue;
     }
-    if (blocked_sources_.count(from) != 0) {
-      count_socket_drop("blocked");
-      return;
+    if (blocked_sources_.count(a.from) != 0) {
+      a.reject = "blocked";
+      continue;
     }
+    std::size_t r = 0;
+    while (r < staging.routes.size() && staging.routes[r].to != a.to) ++r;
+    if (r == staging.routes.size()) {
+      Route route;
+      route.to = a.to;
+      if (const auto it = endpoints_.find(HostId(a.to));
+          it != endpoints_.end()) {
+        route.core = it->second.core;
+        route.handler = it->second.handler;
+        route.down = it->second.down;
+      }
+      staging.routes.push_back(std::move(route));
+    }
+    a.route = r;
   }
+}
 
+void SocketTransport::admit(Arrival& arrival, Staging& staging) {
+  const Route& route = staging.routes[arrival.route];
+  if (!faults_armed_.load(std::memory_order_acquire)) {
+    dispatch(arrival.from, arrival.to, arrival.tag, std::move(arrival.msg),
+             route, staging);
+    return;
+  }
   // Adverse-network injection (test hook). Decisions are drawn under
-  // fault_mu_; delivery happens outside it so a released held frame cannot
-  // re-enter protocol code while the lock is held.
+  // fault_mu_; dispatch happens outside it so a released held frame cannot
+  // re-enter the reliability layer while the lock is held.
   bool drop = false;
   bool duplicate = false;
   bool hold = false;
   std::optional<HeldFrame> release;
   {
     std::lock_guard<std::mutex> lock(fault_mu_);
-    if (faults_armed_) {
+    if (faults_armed_.load(std::memory_order_relaxed)) {
       drop = fault_rng_.next_bool(fault_plan_.loss);
       if (!drop) {
         hold = !held_.has_value() && fault_rng_.next_bool(fault_plan_.reorder);
         duplicate = !hold && fault_rng_.next_bool(fault_plan_.duplicate);
         if (hold) {
-          held_ = HeldFrame{from, to, msg};
+          held_ = HeldFrame{arrival.from, arrival.to, arrival.tag, arrival.msg,
+                            route};
         } else if (held_.has_value()) {
           release = std::move(held_);
           held_.reset();
@@ -468,49 +491,66 @@ void SocketTransport::on_datagram(const std::uint8_t* data, std::size_t size,
     return;
   }
   if (hold) return;  // delivered (reordered) behind the next frame
-  dispatch(from, to, msg);
-  if (duplicate) dispatch(from, to, msg);
-  if (release) dispatch(release->from, release->to, std::move(release->msg));
+  dispatch(arrival.from, arrival.to, arrival.tag, arrival.msg, route, staging);
+  if (duplicate) {
+    dispatch(arrival.from, arrival.to, arrival.tag, arrival.msg, route,
+             staging);
+  }
+  if (release) {
+    dispatch(release->from, release->to, release->tag, std::move(release->msg),
+             release->route, staging);
+  }
 }
 
-void SocketTransport::dispatch(std::uint32_t from_value, std::uint32_t to_value,
-                               net::MessagePtr msg) {
+void SocketTransport::dispatch(std::uint32_t from_value,
+                               std::uint32_t to_value, net::WireTag tag,
+                               net::MessagePtr msg, const Route& route,
+                               Staging& staging) {
   if (reliable_ != nullptr) {
-    if (const auto* data =
-            dynamic_cast<const net::ReliableData*>(msg.get())) {
-      reliable_->on_data(from_value, to_value, *data);
-      return;
-    }
-    if (const auto* ack = dynamic_cast<const net::ReliableAck*>(msg.get())) {
-      reliable_->on_ack(from_value, to_value, *ack);
+    // With the reliability layer on, the tag 16/17 codecs are registered,
+    // so the tag fixes the decoded type.
+    if (tag == net::kTagReliableData) {
+      msg = reliable_->on_data(from_value, to_value,
+                               static_cast<const net::ReliableData&>(*msg));
+      if (msg == nullptr) return;
+    } else if (tag == net::kTagReliableAck) {
+      reliable_->on_ack(from_value, to_value,
+                        static_cast<const net::ReliableAck&>(*msg));
       return;
     }
   }
-  deliver(from_value, to_value, std::move(msg));
+  stage(route, from_value, std::move(msg), staging);
 }
 
-void SocketTransport::deliver(std::uint32_t from_value, std::uint32_t to_value,
-                              net::MessagePtr msg) {
-  std::shared_ptr<LoopCore> core;
-  Transport::Handler handler;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = endpoints_.find(HostId(to_value));
-    if (it == endpoints_.end()) {
-      count_socket_drop("not_local");
-      return;
-    }
-    if (it->second.down) {
-      count_socket_drop("endpoint_down");
-      return;
-    }
-    core = it->second.core;
-    handler = it->second.handler;
+void SocketTransport::stage(const Route& route, std::uint32_t from_value,
+                            net::MessagePtr msg, Staging& staging) {
+  if (route.core == nullptr) {
+    count_socket_drop("not_local");
+    return;
+  }
+  if (route.down) {
+    count_socket_drop("endpoint_down");
+    return;
   }
   socket_deliveries().inc();
-  LoopCore::post_at(core, SteadyClock::now(),
-                    [handler = std::move(handler), from = HostId(from_value),
-                     msg = std::move(msg)] { handler(from, msg); });
+  auto group = staging.groups.begin();
+  while (group != staging.groups.end() && group->first != route.core) ++group;
+  if (group == staging.groups.end()) {
+    group = staging.groups.emplace(staging.groups.end(), route.core,
+                                   std::vector<std::function<void()>>{});
+  }
+  group->second.emplace_back(
+      [handler = route.handler, from = HostId(from_value),
+       msg = std::move(msg)] { (*handler)(from, msg); });
+}
+
+void SocketTransport::hand_off(Staging& staging) {
+  for (auto& [core, batch] : staging.groups) {
+    socket_handoffs().inc();
+    // A stopped loop drops its share; the other loops' shares still go out.
+    LoopCore::post_batch(core, batch);
+  }
+  staging.groups.clear();
 }
 
 std::vector<std::uint8_t> SocketTransport::take_buffer() {
@@ -600,6 +640,10 @@ void SocketTransport::drain_inbound() {
   static thread_local std::array<iovec, kBatch> iovecs;
   static thread_local std::array<sockaddr_in, kBatch> sources;
   static thread_local std::array<mmsghdr, kBatch> headers;
+  // The one staging buffer: only the reactor, through this function, hands
+  // frames to node loops.
+  static thread_local Staging staging;
+  const net::CodecRegistry& codec = net::CodecRegistry::global();
   for (;;) {
     for (unsigned i = 0; i < kBatch; ++i) {
       iovecs[i].iov_base = storage.data() + i * std::size_t{65536};
@@ -613,18 +657,39 @@ void SocketTransport::drain_inbound() {
     const int got = ::recvmmsg(fd_, headers.data(), kBatch, MSG_DONTWAIT,
                                /*timeout=*/nullptr);
     if (got <= 0) return;  // EAGAIN (drained) or transient error
+    socket_frames_received().inc(static_cast<std::uint64_t>(got));
     for (int i = 0; i < got; ++i) {
+      Arrival& a = staging.arrivals.emplace_back();
       const sockaddr_in& src = sources[i];
       // An AF_INET socket only ever reports AF_INET sources; anything else
       // cannot match a registered peer and fails the source check.
-      const ResolvedAddr source =
-          headers[i].msg_hdr.msg_namelen == sizeof src &&
-                  src.sin_family == AF_INET
-              ? ResolvedAddr{src.sin_addr.s_addr, src.sin_port}
-              : ResolvedAddr{};
-      on_datagram(static_cast<const std::uint8_t*>(iovecs[i].iov_base),
-                  headers[i].msg_len, source);
+      if (headers[i].msg_hdr.msg_namelen == sizeof src &&
+          src.sin_family == AF_INET) {
+        a.source = ResolvedAddr{src.sin_addr.s_addr, src.sin_port};
+      }
+      const net::CodecRegistry::Decoded decoded =
+          codec.decode(static_cast<const std::uint8_t*>(iovecs[i].iov_base),
+                       headers[i].msg_len);
+      if (!decoded.ok()) {
+        a.reject = net::to_cstring(decoded.error);
+        continue;
+      }
+      a.from = decoded.frame->from.value();
+      a.to = decoded.frame->to.value();
+      a.tag = decoded.frame->tag;
+      a.msg = decoded.frame->msg;
     }
+    screen(staging);
+    for (Arrival& a : staging.arrivals) {
+      if (a.reject != nullptr) {
+        count_socket_drop(a.reject);
+      } else {
+        admit(a, staging);
+      }
+    }
+    hand_off(staging);
+    staging.arrivals.clear();
+    staging.routes.clear();
     if (static_cast<unsigned>(got) < kBatch) return;  // socket drained
   }
 }

@@ -32,8 +32,15 @@
 // assumption the paper's revocation guarantee rests on: a forged
 // QueryResponse "from a manager" would otherwise be an unauthorized allow.
 //
-// Inbound messages are posted onto the destination node's LoopCore, so
-// protocol modules stay single-threaded per node. The cross-fabric
+// Batched hand-off: the reactor keeps each recvmmsg batch together up to the
+// node loops. It decodes the batch, takes mu_ once for every frame's source,
+// blocked and destination-endpoint checks, runs the fault plan and the
+// reliability layer frame by frame in arrival order, and stages the accepted
+// deliveries per destination LoopCore. Each loop then gets its share of the
+// batch with one LoopCore::post_batch — one lock and one wake-up per batch
+// per loop, not per frame — and runs it in arrival order, so protocol
+// modules stay single-threaded per node. Endpoint handlers are shared with
+// the queued deliveries, never copied per frame. The cross-fabric
 // conformance suite (tests/test_conformance.cpp) holds this transport and
 // the in-process loopback fabric to the same protocol outcomes.
 //
@@ -46,7 +53,9 @@
 // fabric without ever touching real packet schedules.
 //
 // Observability: wan_udp_frames_sent_total, wan_udp_frames_received_total,
-// wan_udp_deliveries_total, and wan_udp_drops_total{reason=...}.
+// wan_udp_deliveries_total, wan_udp_handoffs_total (one per batch per
+// destination loop: deliveries / handoffs is the frames per wake-up), and
+// wan_udp_drops_total{reason=...}.
 //
 // Topology file format (docs/WIRE_FORMAT.md): one `<host-id> <host>:<port>`
 // pair per line; `#` starts a comment. Every process of a deployment loads
@@ -66,6 +75,7 @@
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "net/codec.hpp"
@@ -195,12 +205,41 @@ class SocketTransport final : public Fabric {
  private:
   struct Endpoint {
     std::shared_ptr<LoopCore> core;
-    Transport::Handler handler;
+    /// Shared with every queued delivery, so a re-attach never pulls the
+    /// handler out from under one.
+    std::shared_ptr<const Transport::Handler> handler;
     bool down = false;
   };
   struct Outbound {
     std::vector<std::uint8_t> frame;
     ResolvedAddr dest;
+  };
+  /// A destination endpoint as one inbound batch found it under mu_.
+  struct Route {
+    std::uint32_t to = 0;
+    std::shared_ptr<LoopCore> core;  ///< null: no such local endpoint
+    std::shared_ptr<const Transport::Handler> handler;
+    bool down = false;
+  };
+  /// One decoded frame of an inbound batch.
+  struct Arrival {
+    std::uint32_t from = 0;
+    std::uint32_t to = 0;
+    net::WireTag tag = 0;
+    net::MessagePtr msg;
+    ResolvedAddr source;
+    const char* reject = nullptr;  ///< drop reason from the source checks
+    std::size_t route = 0;         ///< index into Staging::routes
+  };
+  /// The hand-off buffer of one recvmmsg batch. drain_inbound owns the only
+  /// instance, so staging happens on the reactor thread alone.
+  struct Staging {
+    std::vector<Arrival> arrivals;
+    std::vector<Route> routes;  ///< distinct destinations of the batch
+    /// Accepted deliveries per destination loop, in arrival order.
+    std::vector<std::pair<std::shared_ptr<LoopCore>,
+                          std::vector<std::function<void()>>>>
+        groups;
   };
 
   // Out of line: the constructor/destructor need the complete
@@ -225,26 +264,33 @@ class SocketTransport final : public Fabric {
   std::vector<std::uint8_t> take_buffer();
   void recycle_buffer(std::vector<std::uint8_t>&& buf);
 
-  /// Decodes one received datagram, drops it if its sender does not match
-  /// `source` or is blocked, and hands it to dispatch(); every reject class
-  /// lands in its labelled drop counter. The inbound fault plan (if armed)
-  /// is applied after those checks and before the reliability layer, so
-  /// injected loss hits the envelope and retransmission is what recovers it.
-  void on_datagram(const std::uint8_t* data, std::size_t size,
-                   const ResolvedAddr& source);
+  /// One mu_ hold for the whole batch: rejects every arrival whose sender
+  /// does not match its source address or is blocked, and resolves the
+  /// destination endpoint of every other one into staging.routes.
+  void screen(Staging& staging);
 
-  /// Post-fault routing: the reliability layer's envelope handling (when
-  /// enabled), then deliver().
+  /// Applies the inbound fault plan (if armed) to one screened arrival,
+  /// after the source checks and before the reliability layer, so injected
+  /// loss hits the envelope and retransmission is what recovers it.
+  void admit(Arrival& arrival, Staging& staging);
+
+  /// Post-fault routing by wire tag: the reliability layer's envelope
+  /// handling (when enabled), then stage().
   void dispatch(std::uint32_t from_value, std::uint32_t to_value,
-                net::MessagePtr msg);
+                net::WireTag tag, net::MessagePtr msg, const Route& route,
+                Staging& staging);
 
-  /// Posts one decoded message onto the destination endpoint's loop,
-  /// honouring down endpoints (blocked sources were filtered on arrival).
-  void deliver(std::uint32_t from_value, std::uint32_t to_value,
-               net::MessagePtr msg);
+  /// Queues one delivery for its destination loop, honouring down and
+  /// missing endpoints (blocked sources were screened out on arrival).
+  static void stage(const Route& route, std::uint32_t from_value,
+                    net::MessagePtr msg, Staging& staging);
+
+  /// Posts each destination loop's staged deliveries with one post_batch.
+  static void hand_off(Staging& staging);
 
   void reactor_loop();
-  /// Drains the inbound side with recvmmsg until EAGAIN.
+  /// Drains the inbound side with recvmmsg until EAGAIN, handing each batch
+  /// off to the destination loops.
   void drain_inbound();
   /// Flushes the outbound queue with sendmmsg; returns true when fully
   /// drained, false when the kernel buffer filled (caller arms EPOLLOUT).
@@ -266,15 +312,18 @@ class SocketTransport final : public Fabric {
   bool shut_down_ = false;  ///< guarded by mu_
 
   // Inbound fault injection (guarded by fault_mu_, never held across
-  // delivery so reordered releases cannot deadlock with protocol code).
+  // dispatch). faults_armed_ lets the reactor skip fault_mu_ entirely while
+  // no plan is armed.
   std::mutex fault_mu_;
-  bool faults_armed_ = false;
+  std::atomic<bool> faults_armed_{false};
   FaultPlan fault_plan_;
   Rng fault_rng_{1};
   struct HeldFrame {
     std::uint32_t from = 0;
     std::uint32_t to = 0;
+    net::WireTag tag = 0;
     net::MessagePtr msg;
+    Route route;  ///< as resolved by the batch the frame arrived in
   };
   std::optional<HeldFrame> held_;
 
@@ -300,5 +349,6 @@ void count_socket_drop(const char* reason);
 obs::Counter& socket_frames_sent();
 obs::Counter& socket_frames_received();
 obs::Counter& socket_deliveries();
+obs::Counter& socket_handoffs();
 
 }  // namespace wan::runtime

@@ -1,4 +1,5 @@
-// Runtime-seam tests: the ThreadedEnv primitives, cross-runtime equivalence
+// Runtime-seam tests: the ThreadedEnv primitives, the LoopCore batch post
+// the socket transport hands frames off with, cross-runtime equivalence
 // of the protocol (the same scripted grant/check/revoke sequence must produce
 // the same decision sequence on SimEnv and ThreadedEnv — the seam carries the
 // whole protocol, not just the happy path), and the seed-determinism pin the
@@ -8,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -18,6 +20,7 @@
 #include "net/network.hpp"
 #include "proto/host.hpp"
 #include "runtime/backend.hpp"
+#include "runtime/loop_core.hpp"
 #include "runtime/sim_env.hpp"
 #include "runtime/threaded_env.hpp"
 #include "sim/scheduler.hpp"
@@ -132,6 +135,52 @@ TEST(ThreadedEnv, NowAdvancesWithWallClock) {
   const sim::TimePoint t1 = env.now();
   EXPECT_GE((t1 - t0).count_nanos(), 10'000'000);  // >= 10ms elapsed
   fabric.stop_all();
+}
+
+// The socket transport's hand-off primitive: a batch queues behind work
+// posted before it, runs in order, and a stopped core refuses (drops) the
+// whole batch.
+TEST(LoopCore, PostBatchRunsAfterEarlierWorkAndFailsWhenStopped) {
+  using Clock = LoopCore::SteadyClock;
+  auto core = std::make_shared<LoopCore>(Clock::now());
+  std::thread loop([core] { core->run_loop(); });
+  std::mutex mu;
+  std::vector<int> order;
+  const auto record = [&mu, &order](int v) {
+    return [&mu, &order, v] {
+      const std::lock_guard<std::mutex> lock(mu);
+      order.push_back(v);
+    };
+  };
+
+  // Park the loop so everything below is queued before any of it runs.
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  const Clock::time_point now = Clock::now();
+  ASSERT_TRUE(LoopCore::post_at(core, now, [opened] { opened.wait(); }));
+  ASSERT_TRUE(LoopCore::post_at(core, now, record(1)));
+  ASSERT_TRUE(LoopCore::post_at(core, now, record(2)));
+  std::vector<std::function<void()>> batch = {record(3), record(4),
+                                              record(5)};
+  ASSERT_TRUE(LoopCore::post_batch(core, batch));
+  gate.set_value();
+  ASSERT_TRUE(eventually([&] {
+    const std::lock_guard<std::mutex> lock(mu);
+    return order.size() == 5;
+  }));
+
+  {
+    const std::lock_guard<std::mutex> lock(core->mu);
+    core->stopped = true;
+  }
+  core->cv.notify_all();
+  loop.join();
+  std::vector<std::function<void()>> late = {record(6), record(7)};
+  EXPECT_FALSE(LoopCore::post_batch(core, late));
+  EXPECT_FALSE(LoopCore::post_at(core, Clock::now(), record(8)));
+  EXPECT_TRUE(core->queue.empty());
+  const std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
 TEST(LoopbackFabric, DeliversBetweenEnvsAndRespectsDown) {

@@ -6,7 +6,10 @@
 // topology parsing; plus the batched-I/O behaviors: bursts larger than one
 // syscall batch all arrive, and a recvmmsg batch mixing valid frames with
 // garbage rejects per-frame (each reject in its labelled counter, every
-// valid neighbour still delivered). Sender authenticity is pinned at the
+// valid neighbour still delivered), and the batched hand-off keeps each
+// destination loop's frames in send order, drops a stopped loop's share
+// without holding up the other loop's, and drops a down endpoint's frames
+// (and only those) as endpoint_down. Sender authenticity is pinned at the
 // transport (a frame whose header names a sender it did not come from is a
 // spoofed_source drop) and end to end (a forged manager reply cannot grant
 // access). The deterministic fault plan is exercised at the transport
@@ -252,6 +255,11 @@ TEST(SocketTransport, BlockInboundFromDropsOneDirectionOnly) {
   ASSERT_TRUE(eventually([&] { return at_b.load() == 1; }));
 }
 
+/// A message type no codec is registered for.
+struct UnregisteredMessage final : net::Message {
+  WAN_MESSAGE_TYPE("TestUnregisteredMessage")
+};
+
 TEST(SocketTransport, SendPathDropReasonsAreCounted) {
   Pair pair;
   pair.env_a->transport().register_endpoint(
@@ -281,6 +289,15 @@ TEST(SocketTransport, SendPathDropReasonsAreCounted) {
             AppId(1), UserId(2), 3, 4, auth::Signature{5},
             std::string(net::kMaxFrameSize, 'x'), 6));
   });
+  EXPECT_EQ(drop_count("oversize"), oversize_before + 1);
+
+  // An unregistered type is its own reason, never folded into oversize.
+  const std::uint64_t unregistered_before = drop_count("unregistered_type");
+  pair.env_a->run_sync([&] {
+    pair.env_a->transport().send(HostId(1), HostId(2),
+                                 net::make_message<UnregisteredMessage>());
+  });
+  EXPECT_EQ(drop_count("unregistered_type"), unregistered_before + 1);
   EXPECT_EQ(drop_count("oversize"), oversize_before + 1);
 }
 
@@ -412,6 +429,150 @@ TEST(SocketTransport, PartialBatchRejectsGarbagePerFrame) {
   // Nothing more trickles in late.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(rig.delivered(), 4u);
+}
+
+// --------------------------------------------------------- batched hand-off
+
+std::uint64_t counter_value(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
+/// One transport serving two endpoints on two different loops — host 2 on
+/// loops[0], host 3 on loops[1] — fed by a raw socket registered as host 1
+/// that sends whole bursts with one sendmmsg, so a burst reaches the
+/// reactor as (at most a few) recvmmsg batches.
+struct TwoLoopRig {
+  TwoLoopRig() {
+    proto::register_wire_messages();
+    transport = make_transport();
+    for (std::size_t i = 0; i < 2; ++i) {
+      loops[i] = std::make_unique<ThreadedEnv>(*transport);
+      loops[i]->transport().register_endpoint(
+          HostId(2 + static_cast<std::uint32_t>(i)),
+          [this, i](HostId, const net::MessagePtr& msg) {
+            const std::lock_guard<std::mutex> lock(mu);
+            seqs[i].push_back(
+                static_cast<const proto::HeartbeatPing&>(*msg).seq);
+          });
+    }
+    send_fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+    EXPECT_GE(send_fd, 0);
+    transport->add_peer(HostId(1),
+                        NodeAddress{"127.0.0.1", bind_loopback(send_fd)});
+    dest.sin_family = AF_INET;
+    dest.sin_port = htons(transport->local_port());
+    dest.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  }
+  ~TwoLoopRig() {
+    if (send_fd >= 0) ::close(send_fd);
+    transport->shutdown();
+  }
+
+  /// Pings seq first .. first+n-1, alternating host 2 (even seq) and host 3
+  /// (odd seq), in one sendmmsg burst.
+  void burst(std::uint64_t first, unsigned n) {
+    std::vector<std::vector<std::uint8_t>> frames;
+    for (std::uint64_t seq = first; seq < first + n; ++seq) {
+      const auto msg = net::make_message<proto::HeartbeatPing>(AppId(1), seq);
+      const auto frame = net::CodecRegistry::global().encode(
+          HostId(1), HostId(seq % 2 == 0 ? 2 : 3), *msg);
+      ASSERT_TRUE(frame.has_value());
+      frames.push_back(*frame);
+    }
+    std::vector<iovec> iov(n);
+    std::vector<mmsghdr> headers(n);
+    for (unsigned i = 0; i < n; ++i) {
+      iov[i].iov_base = frames[i].data();
+      iov[i].iov_len = frames[i].size();
+      headers[i].msg_hdr = msghdr{};
+      headers[i].msg_hdr.msg_name = &dest;
+      headers[i].msg_hdr.msg_namelen = sizeof dest;
+      headers[i].msg_hdr.msg_iov = &iov[i];
+      headers[i].msg_hdr.msg_iovlen = 1;
+    }
+    for (unsigned sent = 0; sent < n;) {
+      const int r = ::sendmmsg(send_fd, headers.data() + sent, n - sent, 0);
+      ASSERT_GT(r, 0);
+      sent += static_cast<unsigned>(r);
+    }
+  }
+
+  std::vector<std::uint64_t> got(std::size_t loop) {
+    const std::lock_guard<std::mutex> lock(mu);
+    return seqs[loop];
+  }
+
+  /// seq first, first+2, ... — one host's half of burst(first, 2 * count).
+  static std::vector<std::uint64_t> every_other(std::uint64_t first,
+                                                std::size_t count) {
+    std::vector<std::uint64_t> out;
+    for (std::size_t i = 0; i < count; ++i) out.push_back(first + 2 * i);
+    return out;
+  }
+
+  std::unique_ptr<SocketTransport> transport;
+  std::unique_ptr<ThreadedEnv> loops[2];
+  std::mutex mu;
+  std::vector<std::uint64_t> seqs[2];
+  int send_fd = -1;
+  sockaddr_in dest{};
+};
+
+// A kBatch-wide burst interleaving two endpoints on two loops: each loop
+// receives exactly its frames, in send order, and every hand-off carries at
+// least one delivery.
+TEST(SocketTransport, BatchToTwoLoopsArrivesInSendOrder) {
+  TwoLoopRig rig;
+  constexpr unsigned kFrames = SocketTransport::kBatch;
+  const std::uint64_t deliveries_before =
+      counter_value("wan_udp_deliveries_total");
+  const std::uint64_t handoffs_before = counter_value("wan_udp_handoffs_total");
+  rig.burst(0, kFrames);
+  ASSERT_TRUE(eventually([&] {
+    return rig.got(0).size() == kFrames / 2 && rig.got(1).size() == kFrames / 2;
+  }));
+  EXPECT_EQ(rig.got(0), TwoLoopRig::every_other(0, kFrames / 2));
+  EXPECT_EQ(rig.got(1), TwoLoopRig::every_other(1, kFrames / 2));
+  const std::uint64_t deliveries =
+      counter_value("wan_udp_deliveries_total") - deliveries_before;
+  const std::uint64_t handoffs =
+      counter_value("wan_udp_handoffs_total") - handoffs_before;
+  EXPECT_EQ(deliveries, kFrames);
+  EXPECT_GE(handoffs, 2u);  // both loops got at least one batch
+  EXPECT_LE(handoffs, deliveries);
+}
+
+// A stopped loop refuses its share of each batch; the other loop's share
+// still arrives, complete and in order, without waiting on it.
+TEST(SocketTransport, BatchToStoppedLoopIsDroppedWithoutDelayingOther) {
+  TwoLoopRig rig;
+  constexpr unsigned kFrames = SocketTransport::kBatch;
+  rig.loops[0]->stop();
+  rig.burst(0, kFrames);
+  ASSERT_TRUE(eventually([&] { return rig.got(1).size() == kFrames / 2; },
+                         /*timeout_ms=*/2000));
+  EXPECT_EQ(rig.got(1), TwoLoopRig::every_other(1, kFrames / 2));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(rig.got(0).empty());
+}
+
+// Host 3 goes down between two halves of a burst: endpoint_down counts
+// exactly its frames of the second half, host 2 keeps receiving everything.
+TEST(SocketTransport, EndpointDownMidBurstCountsExactlyItsFrames) {
+  TwoLoopRig rig;
+  constexpr unsigned kHalf = SocketTransport::kBatch;
+  rig.burst(0, kHalf);
+  ASSERT_TRUE(eventually([&] { return rig.got(1).size() == kHalf / 2; }));
+  rig.loops[1]->transport().set_endpoint_down(HostId(3), true);
+  const std::uint64_t down_before = drop_count("endpoint_down");
+  rig.burst(kHalf, kHalf);
+  ASSERT_TRUE(eventually([&] { return rig.got(0).size() == kHalf; }));
+  ASSERT_TRUE(eventually(
+      [&] { return drop_count("endpoint_down") - down_before >= kHalf / 2; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(drop_count("endpoint_down") - down_before, kHalf / 2);
+  EXPECT_EQ(rig.got(0), TwoLoopRig::every_other(0, kHalf));
+  EXPECT_EQ(rig.got(1), TwoLoopRig::every_other(1, kHalf / 2));
 }
 
 // ------------------------------------------------ deterministic fault plan

@@ -46,10 +46,11 @@
 //
 //   +500 ms   manager 0 grants the user             (prints GRANT_OK_US)
 //   +1200 ms  agent starts invoking via the cut host, repeatedly
-//   +3000 ms  the cut host blocks inbound from all managers — revocations
-//             and query replies can no longer reach it, but its cache was
-//             refreshed moments ago (the paper's worst case: a partition
-//             landing right after a grant confirmation)
+//   +3000 ms  the cut host drops its cached entry, and blocks inbound from
+//             all managers as soon as the agent's next invoke re-grants it
+//             — revocations and query replies can no longer reach it, but
+//             its cache was refreshed moments ago (the paper's worst case:
+//             a partition landing right after a grant confirmation)
 //   +3200 ms  manager 1 revokes                     (prints REVOKE_QUORUM_US)
 //   ...       agent keeps invoking; allows come only from the cut host's
 //             cache, which must expire within te. First deny after the
@@ -57,7 +58,9 @@
 //
 // Timestamps are system-clock microseconds — comparable across processes on
 // one machine — so the orchestrator checks LAST_ALLOW_US - REVOKE_QUORUM_US
-// <= Te without any cross-process clock protocol.
+// <= Te without any cross-process clock protocol. A last allow that is not
+// after the quorum fails the run as VACUOUS: the cached-allow window Te
+// bounds was never exercised, so "held" would prove nothing.
 //
 // --metrics exports the process-wide metrics registry in Prometheus text
 // format: with FILE, a background thread rewrites the file twice a second
@@ -150,8 +153,9 @@ constexpr int kHosts = 4;
 // Multi-process script offsets (ms from each process's start).
 constexpr int kGrantAtMs = 500;
 constexpr int kAgentPollStartMs = 1200;
-constexpr int kBlockAtMs = 3000;
 constexpr int kRevokeAtMs = 3200;
+/// The cut host's partition arms this long before the revoke.
+constexpr int kBlockLeadMs = 200;
 
 // --shards variant: 4 managers in 2 groups ({0,1} owns everything at epoch 1;
 // the shard holding the user migrates to {2,3} mid-script) and a later revoke
@@ -208,6 +212,25 @@ std::int64_t system_us() {
 
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
+/// The Te verdict of both orchestrators: how long after the revoke quorum
+/// the cut host last allowed, and the margin left to the bound. VACUOUS
+/// (a failure) when no allow came after the quorum: the run never
+/// exercised the cached-allow window Te bounds. Returns true when HELD.
+bool te_verdict(const char* mode, const std::string& what,
+                std::int64_t quorum_us, std::int64_t last_allow_us,
+                int te_ms) {
+  const double over_ms =
+      static_cast<double>(last_allow_us - quorum_us) / 1000.0;
+  const bool vacuous = over_ms <= 0.0;
+  const bool held = !vacuous && over_ms <= static_cast<double>(te_ms);
+  std::printf(
+      "wan_node %s: Te bound %s: last allow %.1f ms after revoke quorum, "
+      "margin %.1f ms to the %d ms bound — %s\n",
+      mode, what.c_str(), over_ms, static_cast<double>(te_ms) - over_ms,
+      te_ms, vacuous ? "VACUOUS" : held ? "HELD" : "VIOLATED");
+  return held;
 }
 
 void sleep_until_offset(Clock::time_point t0, int offset_ms) {
@@ -639,6 +662,7 @@ int run_manager(const Options& opt, runtime::SocketTransport& transport) {
   // fresh simultaneous boot must not sync: its peers are equally fresh and
   // would be asked to vouch for state nobody has yet.
   std::unique_ptr<proto::ManagerJournal> journal;
+  bool restarted = false;
   if (!opt.state_dir.empty()) {
     std::string error;
     journal = proto::ManagerJournal::open(opt.state_dir, &error);
@@ -646,25 +670,29 @@ int run_manager(const Options& opt, runtime::SocketTransport& transport) {
     std::size_t replayed = 0;
     env.run_sync(
         [&] { replayed = mgr.manager().attach_journal(journal.get()); });
-    if (journal->had_state()) {
+    restarted = journal->had_state();
+    if (restarted) {
       std::printf("JOURNAL_REPLAYED %zu\n", replayed);
       std::fflush(stdout);
-      env.run_sync([&] { mgr.manager().resync(app); });
-      // RESYNCED means the sync actually completed, not merely started.
-      const auto sync_deadline = Clock::now() + std::chrono::seconds(10);
-      bool synced = false;
-      while (!synced && Clock::now() < sync_deadline) {
-        env.run_sync([&] { synced = mgr.manager().synced(app); });
-        if (!synced) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        }
-      }
-      if (synced) {
-        std::printf("RESYNCED %lld\n", static_cast<long long>(system_us()));
-        std::fflush(stdout);
-      }
     }
   }
+  const auto restart_sync = [&] {
+    env.run_sync([&] { mgr.manager().restart_sync(app); });
+    // RESYNCED means the sync actually completed, not merely started.
+    const auto sync_deadline = Clock::now() + std::chrono::seconds(10);
+    bool synced = false;
+    while (!synced && Clock::now() < sync_deadline) {
+      env.run_sync([&] { synced = mgr.manager().synced(app); });
+      if (!synced) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    if (synced) {
+      std::printf("RESYNCED %lld\n", static_cast<long long>(system_us()));
+      std::fflush(stdout);
+    }
+  };
+  // Sharded, a restarted incarnation syncs only after re-entering the flip
+  // below, so its sync can adopt a slice it re-acquires from nobody.
+  if (restarted && !opt.shards) restart_sync();
 
   const Clock::time_point t0 = Clock::now();
   std::printf("NODE_READY role=manager id=%u port=%u\n", opt.id,
@@ -715,6 +743,7 @@ int run_manager(const Options& opt, runtime::SocketTransport& transport) {
       std::printf("HANDOFF_STUCK\n");
       std::fflush(stdout);
     }
+    if (restarted) restart_sync();
   }
 
   const std::uint32_t revoker = opt.shards ? kShardRevoker : kManagerIds[1];
@@ -769,14 +798,35 @@ int run_host(const Options& opt, runtime::SocketTransport& transport) {
   std::fflush(stdout);
 
   if (!opt.resume && opt.id == kCutHostId) {
-    sleep_until_offset(t0, kBlockAtMs);
-    // One-way partition: the agent can still invoke through this host, but
-    // nothing the managers send (RevokeNotify, QueryResponse) gets in. Only
-    // the cache's te expiry can end access — the bound under test.
-    for (const HostId m : manager_ids) transport.block_inbound_from(m, true);
-    std::printf("BLOCKED_MANAGERS_US %lld\n",
-                static_cast<long long>(system_us()));
-    std::fflush(stdout);
+    sleep_until_offset(
+        t0, (opt.shards ? kShardRevokeAtMs : kRevokeAtMs) - kBlockLeadMs);
+    // One-way partition landing right after a grant confirmation — the
+    // paper's worst case. The cached entry is dropped, so the agent's next
+    // invoke re-queries the managers, and the moment that quorum grants,
+    // nothing the managers send (RevokeNotify, QueryResponse) gets in any
+    // more. The agent can still invoke through this host, the fresh entry
+    // outlives the revoke quorum by nearly te, and only its expiry can end
+    // access — the bound under test. A block at a fixed time would leave
+    // the entry to expire on its own schedule, often before the revoke, so
+    // no allow would follow the quorum.
+    env.run_sync([&] {
+      host.controller().mutable_cache(app)->clear();
+      host.controller().set_decision_observer(
+          [&transport, manager_ids,
+           armed = true](const proto::AccessDecision& d) mutable {
+            if (!armed || !d.allowed ||
+                d.path != proto::DecisionPath::kQuorumGranted) {
+              return;
+            }
+            armed = false;
+            for (const HostId m : manager_ids) {
+              transport.block_inbound_from(m, true);
+            }
+            std::printf("BLOCKED_MANAGERS_US %lld\n",
+                        static_cast<long long>(system_us()));
+            std::fflush(stdout);
+          });
+    });
   }
 
   sleep_until_offset(t0, lifetime_of(opt));
@@ -1265,14 +1315,11 @@ int run_udp_smoke(const Options& opt, const char* argv0) {
     return 1;
   }
 
-  const double over_ms =
-      static_cast<double>(*last_allow_us - *quorum_us) / 1000.0;
-  const bool held = over_ms <= static_cast<double>(opt.te_ms);
-  std::printf(
-      "wan_node --udp-smoke: Te bound across %zu processes%s: last allow "
-      "%.1f ms after revoke quorum (bound %d ms) — %s\n",
-      children.size(), opt.shards ? " (sharded, live rebalance)" : "",
-      over_ms, opt.te_ms, held ? "HELD" : "VIOLATED");
+  const bool held = te_verdict(
+      "--udp-smoke",
+      "across " + std::to_string(children.size()) + " processes" +
+          (opt.shards ? " (sharded, live rebalance)" : ""),
+      *quorum_us, *last_allow_us, opt.te_ms);
   if (flip_us && quorum_us) {
     std::printf("  shard flip committed %.1f ms before the revoke\n",
                 static_cast<double>(*quorum_us - *flip_us) / 1000.0);
@@ -1351,12 +1398,16 @@ int run_proc_chaos(const Options& opt, const char* argv0) {
   // and never the cut host (103), whose cache expiry IS the property under
   // test. Everything else is fair game mid-traffic.
   //
-  // Sharded variant: ONE manager victim, SIGKILLed DURING the handoff —
+  // Sharded variant: ONE manager victim, SIGKILLed around the handoff —
   // either an old-owner sender (0, its slice stream dies mid-series and must
   // be re-streamed on restart) or a new-owner receiver (3, the senders
   // retransmit into the outage until its restart acks). The grant anchor is
   // ~1.5 s before the handoff begins, so grant+[1550,1900] ms lands inside
-  // the streaming window.
+  // the streaming window when streaming is slow; on an idle machine the
+  // migration takes milliseconds and the kill lands just after the flip. A
+  // receiver restarted then re-enters the flip as a fresh acquisition whose
+  // senders are done, and answers for the shard again only by adopting the
+  // group's state in its restart sync.
   Rng chaos(opt.chaos_seed);
   const std::uint32_t victim_mgr =
       opt.shards ? (chaos.next_bool(0.5) ? 0u : 3u)
@@ -1658,17 +1709,13 @@ int run_proc_chaos(const Options& opt, const char* argv0) {
     all_ok = false;
   }
   if (all_ok) {
-    const double over_ms =
-        static_cast<double>(*last_allow_us - *quorum_us) / 1000.0;
-    const bool held = over_ms <= static_cast<double>(opt.te_ms);
-    std::printf(
-        "wan_node --proc-chaos: Te bound across crashes%s: last allow %.1f "
-        "ms after revoke quorum (bound %d ms) — %s; manager-%u replayed "
-        "%lld records\n",
-        opt.shards ? " (sharded, kill during handoff)" : "", over_ms,
-        opt.te_ms, held ? "HELD" : "VIOLATED", victim_mgr,
-        static_cast<long long>(replayed.value_or(0)));
-    all_ok = held;
+    all_ok = te_verdict("--proc-chaos",
+                        std::string("across crashes") +
+                            (opt.shards ? " (sharded, kill during handoff)"
+                                        : ""),
+                        *quorum_us, *last_allow_us, opt.te_ms);
+    std::printf("  manager-%u replayed %lld records\n", victim_mgr,
+                static_cast<long long>(replayed.value_or(0)));
   }
 
   if (!all_ok || opt.verbose) {
