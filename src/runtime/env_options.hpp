@@ -139,7 +139,11 @@ struct EnvOptions {
   // --- socket transport (SocketTransport) ---
   std::string listen;         ///< bind address "host:port"; port 0 = ephemeral
   std::string topology_path;  ///< HostId -> host:port map file (docs/WIRE_FORMAT.md)
-  std::size_t send_queue_limit = 1024;  ///< outbound frames queued before drop
+  /// Frames the socket transport may hold unsent — staged in a loop's pass
+  /// or backlogged behind a full kernel buffer — before it sheds more as
+  /// queue_full. Keep it above SocketTransport::kBatch (64), a pass's flush
+  /// size, or ordinary passes shed.
+  std::size_t send_queue_limit = 1024;
   ReliabilityOptions reliability;       ///< ack/retransmit layer (socket transport)
   ShardTopologyOptions sharding;        ///< manager-group partition (all backends)
   DisseminationOptions dissemination;   ///< revocation fan-out strategy (all backends)

@@ -32,9 +32,11 @@
 // Threading: send_reliable() runs on env loop threads, on_data/on_ack on the
 // transport's reactor thread, and one channel-owned timer thread drives
 // retransmits and expiry. One mutex guards the flow tables; frames are
-// handed to the transport's bounded outbound queue outside it. A queue-full
-// shed of a reliable frame is recovered by the next retransmit — the bounded
-// queue delays, it no longer silently drops.
+// handed to the transport's send path outside it (staged in the calling
+// loop's or reactor batch's pass, sent at once from the timer thread). A
+// queue-full shed of a reliable frame is recovered by the next retransmit —
+// the transport's bound on unsent frames delays, it no longer silently
+// drops.
 //
 // Observability: wan_retransmits_total, wan_acks_total (ack frames sent),
 // wan_dup_drops_total (receive-side dedup), wan_reliable_expired_total
@@ -67,8 +69,8 @@ namespace wan::runtime {
 
 class ReliableChannel {
  public:
-  /// Hands one encoded frame to the transport's outbound queue; returns false
-  /// when the bounded queue shed it (a later retransmit recovers).
+  /// Hands one encoded frame to the transport's send path; returns false
+  /// when its bound on unsent frames shed it (a later retransmit recovers).
   using EnqueueFn =
       std::function<bool(std::vector<std::uint8_t> frame, ResolvedAddr dest)>;
   /// Peer route lookup (acks travel to the data frame's source).
@@ -110,8 +112,8 @@ class ReliableChannel {
               const net::ReliableAck& ack);
 
   /// Stops the timer thread; idempotent. The owning transport calls it after
-  /// its envs stop and before its I/O threads join (the channel enqueues
-  /// into their queues).
+  /// its envs stop and before its socket closes (the timer thread sends on
+  /// it).
   void stop();
 
   /// Sent-but-unacked frames across all flows (tests poll this to quiesce).

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstring>
@@ -68,6 +69,12 @@ std::optional<std::uint32_t> resolve_host(const std::string& host,
 obs::Counter& socket_frames_sent() {
   static obs::Counter& c =
       obs::Registry::global().counter("wan_udp_frames_sent_total");
+  return c;
+}
+
+obs::Counter& socket_send_flushes() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("wan_udp_send_flushes_total");
   return c;
 }
 
@@ -282,7 +289,7 @@ bool SocketTransport::open(const EnvOptions& opts, std::string* error) {
     reliable_ = std::make_unique<ReliableChannel>(
         opts.reliability,
         [this](std::vector<std::uint8_t> frame, ResolvedAddr dest) {
-          return enqueue_frame(std::move(frame), dest);
+          return send_frame(std::move(frame), dest);
         },
         [this](std::uint32_t host) -> std::optional<ResolvedAddr> {
           std::lock_guard<std::mutex> lock(mu_);
@@ -307,10 +314,10 @@ void SocketTransport::shutdown() {
     if (shut_down_) return;
     shut_down_ = true;
   }
-  // Envs first: once their loops stop, queued deliveries are dropped and no
-  // protocol code runs while the reactor winds down. The reliability layer
-  // goes next — its timer thread enqueues into the outbound queue, so it
-  // must stop before the reactor does.
+  // Envs first: once their loops stop (each sending what its last pass
+  // staged), queued deliveries are dropped and no protocol code runs while
+  // the reactor winds down. The reliability layer goes next — its timer
+  // thread sends on the socket, so it must stop before the socket closes.
   stop_all();
   if (reliable_ != nullptr) reliable_->stop();
   stopping_.store(true, std::memory_order_release);
@@ -348,7 +355,7 @@ void SocketTransport::send(HostId from, HostId to, net::MessagePtr msg) {
     recycle_buffer(std::move(frame));
     return;
   }
-  enqueue_frame(std::move(frame), *dest);
+  send_frame(std::move(frame), *dest);
 }
 
 void SocketTransport::set_peer_unreachable(UnreachableFn fn) {
@@ -566,27 +573,124 @@ void SocketTransport::recycle_buffer(std::vector<std::uint8_t>&& buf) {
   if (pool_.size() < send_queue_limit_) pool_.push_back(std::move(buf));
 }
 
+void SocketTransport::recycle_buffers(std::span<Outbound> sent) {
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  for (Outbound& f : sent) {
+    if (pool_.size() >= send_queue_limit_) return;
+    pool_.push_back(std::move(f.frame));
+  }
+}
+
 void SocketTransport::wake() {
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
 }
 
-bool SocketTransport::enqueue_frame(std::vector<std::uint8_t> frame,
-                                    const ResolvedAddr& dest) {
+SocketTransport::Outbox& SocketTransport::outbox() {
+  static thread_local Outbox box;
+  return box;
+}
+
+bool SocketTransport::send_frame(std::vector<std::uint8_t> frame,
+                                 const ResolvedAddr& dest) {
+  if (unsent_.fetch_add(1, std::memory_order_relaxed) >= send_queue_limit_) {
+    unsent_.fetch_sub(1, std::memory_order_relaxed);
+    count_socket_drop("queue_full");
+    recycle_buffer(std::move(frame));
+    return false;
+  }
+  LoopCore::Pass& pass = LoopCore::this_thread_pass();
+  if (!pass.active) {
+    // No pass to batch with on this thread: send at once.
+    Outbound one{std::move(frame), dest};
+    transmit_or_backlog(std::span<Outbound>(&one, 1));
+    return true;
+  }
+  Outbox& box = outbox();
+  if (box.owner != this) {
+    flush_outbox();  // the pass already sent through another transport
+    box.owner = this;
+  }
+  box.frames.push_back(Outbound{std::move(frame), dest});
+  pass.flush = &SocketTransport::flush_outbox;
+  if (box.frames.size() >= kBatch) flush_outbox();
+  return true;
+}
+
+void SocketTransport::flush_outbox() {
+  Outbox& box = outbox();
+  if (!box.frames.empty()) box.owner->transmit_or_backlog(box.frames);
+  box.frames.clear();
+  box.owner = nullptr;
+}
+
+void SocketTransport::transmit_or_backlog(std::span<Outbound> frames) {
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    if (!queue_.empty() || backlog_in_flight_) {
+      // Behind the backlog, so this thread's earlier frames still leave
+      // first. The reactor is already due to flush it: EPOLLOUT is armed, a
+      // wake-up is pending, or it holds a batch and will pop again.
+      for (Outbound& f : frames) queue_.push_back(std::move(f));
+      return;
+    }
+  }
+  const std::size_t done = transmit(frames);
+  if (done == frames.size()) return;
   bool was_empty = false;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
-    if (queue_.size() >= send_queue_limit_) {
-      count_socket_drop("queue_full");
-      return false;
-    }
     was_empty = queue_.empty();
-    queue_.push_back(Outbound{std::move(frame), dest});
+    for (std::size_t i = done; i < frames.size(); ++i) {
+      queue_.push_back(std::move(frames[i]));
+    }
   }
-  // Ring the reactor only on the empty->nonempty edge: once it is awake it
-  // drains the whole queue, so further wakeups would be redundant syscalls.
+  // Kernel buffer full: ring the reactor on the backlog's empty->nonempty
+  // edge so it arms EPOLLOUT and drains the backlog when the buffer does.
   if (was_empty) wake();
-  return true;
+}
+
+std::size_t SocketTransport::transmit(std::span<Outbound> frames) {
+  std::array<sockaddr_in, kBatch> dests;
+  std::array<iovec, kBatch> iovecs;
+  std::array<mmsghdr, kBatch> headers;
+  std::size_t done = 0;
+  while (done < frames.size()) {
+    const std::size_t count =
+        std::min<std::size_t>(frames.size() - done, kBatch);
+    for (std::size_t i = 0; i < count; ++i) {
+      Outbound& f = frames[done + i];
+      dests[i] = sockaddr_in{};
+      dests[i].sin_family = AF_INET;
+      dests[i].sin_port = f.dest.port_be;
+      dests[i].sin_addr.s_addr = f.dest.ip_be;
+      iovecs[i].iov_base = f.frame.data();
+      iovecs[i].iov_len = f.frame.size();
+      headers[i].msg_hdr = msghdr{};
+      headers[i].msg_hdr.msg_name = &dests[i];
+      headers[i].msg_hdr.msg_namelen = sizeof dests[i];
+      headers[i].msg_hdr.msg_iov = &iovecs[i];
+      headers[i].msg_hdr.msg_iovlen = 1;
+    }
+    const int n = ::sendmmsg(fd_, headers.data(), static_cast<unsigned>(count),
+                             MSG_DONTWAIT);
+    if (n > 0) {
+      socket_frames_sent().inc(static_cast<std::uint64_t>(n));
+      socket_send_flushes().inc();
+      recycle_buffers(frames.subspan(done, static_cast<std::size_t>(n)));
+      unsent_.fetch_sub(static_cast<std::size_t>(n), std::memory_order_relaxed);
+      done += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return done;
+    // Hard error on the head frame: drop it, keep going with the rest.
+    count_socket_drop("sendto_error");
+    recycle_buffer(std::move(frames[done].frame));
+    unsent_.fetch_sub(1, std::memory_order_relaxed);
+    ++done;
+  }
+  return done;
 }
 
 void SocketTransport::set_want_write(bool want) {
@@ -680,6 +784,9 @@ void SocketTransport::drain_inbound() {
       a.msg = decoded.frame->msg;
     }
     screen(staging);
+    // The batch is the reactor's pass: the acks the reliability layer sends
+    // while admitting it leave together when it ends.
+    LoopCore::this_thread_pass().active = true;
     for (Arrival& a : staging.arrivals) {
       if (a.reject != nullptr) {
         count_socket_drop(a.reject);
@@ -688,6 +795,7 @@ void SocketTransport::drain_inbound() {
       }
     }
     hand_off(staging);
+    LoopCore::end_pass();
     staging.arrivals.clear();
     staging.routes.clear();
     if (static_cast<unsigned>(got) < kBatch) return;  // socket drained
@@ -696,62 +804,29 @@ void SocketTransport::drain_inbound() {
 
 bool SocketTransport::flush_outbound() {
   for (;;) {
-    // Pop up to one batch; sending happens outside queue_mu_ so send() is
-    // never blocked behind a syscall.
+    // Pop up to one batch; sending happens outside queue_mu_, and
+    // backlog_in_flight_ sends every frame queued meanwhile behind it.
     std::array<Outbound, kBatch> batch;
-    unsigned count = 0;
+    std::size_t count = 0;
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
       while (count < kBatch && !queue_.empty()) {
         batch[count++] = std::move(queue_.front());
         queue_.pop_front();
       }
+      backlog_in_flight_ = count > 0;
     }
     if (count == 0) return true;
-
-    std::array<sockaddr_in, kBatch> dests;
-    std::array<iovec, kBatch> iovecs;
-    std::array<mmsghdr, kBatch> headers;
-    for (unsigned i = 0; i < count; ++i) {
-      dests[i] = sockaddr_in{};
-      dests[i].sin_family = AF_INET;
-      dests[i].sin_port = batch[i].dest.port_be;
-      dests[i].sin_addr.s_addr = batch[i].dest.ip_be;
-      iovecs[i].iov_base = batch[i].frame.data();
-      iovecs[i].iov_len = batch[i].frame.size();
-      headers[i].msg_hdr = msghdr{};
-      headers[i].msg_hdr.msg_name = &dests[i];
-      headers[i].msg_hdr.msg_namelen = sizeof dests[i];
-      headers[i].msg_hdr.msg_iov = &iovecs[i];
-      headers[i].msg_hdr.msg_iovlen = 1;
-    }
-
-    unsigned sent = 0;
-    while (sent < count) {
-      const int n =
-          ::sendmmsg(fd_, headers.data() + sent, count - sent, MSG_DONTWAIT);
-      if (n > 0) {
-        for (int i = 0; i < n; ++i) {
-          socket_frames_sent().inc();
-          recycle_buffer(std::move(batch[sent + i].frame));
-        }
-        sent += static_cast<unsigned>(n);
-        continue;
+    const std::size_t done = transmit(std::span<Outbound>(batch.data(), count));
+    if (done < count) {
+      // Kernel buffer full again: requeue the unsent tail ahead of anything
+      // queued since (preserving order) and let EPOLLOUT resume us.
+      std::lock_guard<std::mutex> lock(queue_mu_);
+      for (std::size_t i = count; i > done; --i) {
+        queue_.push_front(std::move(batch[i - 1]));
       }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Kernel buffer full: requeue the unsent tail (preserving order) and
-        // let EPOLLOUT resume us.
-        std::lock_guard<std::mutex> lock(queue_mu_);
-        for (unsigned i = count; i > sent; --i) {
-          queue_.push_front(std::move(batch[i - 1]));
-        }
-        return false;
-      }
-      // Hard error on the head frame: drop it, keep going with the rest.
-      count_socket_drop("sendto_error");
-      recycle_buffer(std::move(batch[sent].frame));
-      ++sent;
+      backlog_in_flight_ = false;
+      return false;
     }
   }
 }

@@ -11,17 +11,30 @@
 // before the first send — the runtime layer itself is protocol-agnostic and
 // never includes proto/ headers.
 //
-// I/O: one reactor thread multiplexes, through epoll, the socket and an
-// eventfd that send() rings when the outbound queue goes nonempty (and
-// shutdown() rings to stop the loop). Inbound datagrams are drained with
-// recvmmsg, kBatch frames per syscall, until EAGAIN; outbound frames are
-// flushed with sendmmsg. send() encodes into vectors recycled from a pool
-// capped at the queue limit, so the steady-state send path does not
-// allocate. The outbound queue is bounded by EnvOptions::send_queue_limit:
-// overflow drops the frame as wan_udp_drops_total{reason="queue_full"} —
-// UDP never backpressures into protocol code. When the kernel socket buffer
-// fills (sendmmsg EAGAIN), frames stay queued and EPOLLOUT is armed, so a
-// full kernel buffer delays rather than drops.
+// I/O: each direction is carried by the threads that produce it. The
+// reactor thread multiplexes, through epoll, the socket and an eventfd, and
+// does the receiving: inbound datagrams are drained with recvmmsg, kBatch
+// frames per syscall, until EAGAIN. Sending happens on the sending thread.
+// send() encodes into a vector recycled from a pool capped at the queue
+// limit, so the steady-state send path does not allocate, and then:
+//   * on a thread running a LoopCore pass (a node loop, or the reactor
+//     admitting one recvmmsg batch) stages the frame in that thread's
+//     outbox; the pass's end flushes the outbox with one sendmmsg, as does
+//     the kBatch-th staged frame;
+//   * on any other thread (the reliability timer, a test's own thread)
+//     sends the frame at once.
+// Every transmission goes through one helper, one sendmmsg per at most
+// kBatch frames. When the kernel socket buffer fills (sendmmsg EAGAIN) the
+// unsent tail joins the reactor's backlog queue, the eventfd rings on the
+// backlog's empty->nonempty edge, and the reactor flushes the backlog under
+// EPOLLOUT, so a full kernel buffer delays rather than drops. Frames sent
+// while a backlog exists, or while the reactor holds backlog frames it has
+// not sent yet, queue behind it, so each thread's frames keep their order.
+// The eventfd otherwise only stops the reactor at shutdown. Every frame
+// the transport holds unsent — staged, backlogged, or in the reactor's hands
+// — counts against EnvOptions::send_queue_limit: beyond it a frame is shed
+// as wan_udp_drops_total{reason="queue_full"}, so UDP never backpressures
+// into protocol code.
 //
 // Sender authenticity: the frame header names its sender, but any local
 // process can write any header. A frame is accepted only when its datagram
@@ -52,7 +65,9 @@
 // prove the protocol converges (and the Te bound holds) over a misbehaving
 // fabric without ever touching real packet schedules.
 //
-// Observability: wan_udp_frames_sent_total, wan_udp_frames_received_total,
+// Observability: wan_udp_frames_sent_total (counted on the sending thread),
+// wan_udp_send_flushes_total (sendmmsg calls: frames_sent / flushes is the
+// frames per send syscall), wan_udp_frames_received_total,
 // wan_udp_deliveries_total, wan_udp_handoffs_total (one per batch per
 // destination loop: deliveries / handoffs is the frames per wake-up), and
 // wan_udp_drops_total{reason=...}.
@@ -71,6 +86,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -214,6 +230,11 @@ class SocketTransport final : public Fabric {
     std::vector<std::uint8_t> frame;
     ResolvedAddr dest;
   };
+  /// One thread's frames staged during a pass, all for `owner`.
+  struct Outbox {
+    SocketTransport* owner = nullptr;
+    std::vector<Outbound> frames;
+  };
   /// A destination endpoint as one inbound batch found it under mu_.
   struct Route {
     std::uint32_t to = 0;
@@ -256,13 +277,29 @@ class SocketTransport final : public Fabric {
   /// (endpoint_down drop otherwise).
   std::optional<ResolvedAddr> route_for_send(HostId from, HostId to);
 
-  /// Hands one encoded frame to the bounded outbound queue. Returns false on
-  /// a queue-full shed (counted). Called from env loop threads and from the
-  /// reliability layer's timer thread.
-  bool enqueue_frame(std::vector<std::uint8_t> frame, const ResolvedAddr& dest);
+  /// Stages one encoded frame in the calling thread's pass, or sends it at
+  /// once when the thread runs no pass. Returns false on a queue-full shed
+  /// (counted). Called from env loop threads, from the reactor (acks) and
+  /// from the reliability layer's timer thread.
+  bool send_frame(std::vector<std::uint8_t> frame, const ResolvedAddr& dest);
+
+  /// The calling thread's staged frames. Empty, with no owner, outside a
+  /// pass: the pass's end always flushes it.
+  static Outbox& outbox();
+  /// Sends the calling thread's staged frames (the LoopCore::Pass flush).
+  static void flush_outbox();
+  /// Sends `frames` in order: behind the backlog if one exists, else
+  /// directly, backlogging whatever the kernel buffer refuses.
+  void transmit_or_backlog(std::span<Outbound> frames);
+  /// The one transmit path: sendmmsg, at most kBatch frames per call, until
+  /// every frame went out or was dropped (hard error), or the kernel buffer
+  /// filled. Returns how many frames from the front it consumed.
+  std::size_t transmit(std::span<Outbound> frames);
 
   std::vector<std::uint8_t> take_buffer();
   void recycle_buffer(std::vector<std::uint8_t>&& buf);
+  /// Returns the buffers of sent frames to the pool under one lock hold.
+  void recycle_buffers(std::span<Outbound> sent);
 
   /// One mu_ hold for the whole batch: rejects every arrival whose sender
   /// does not match its source address or is blocked, and resolves the
@@ -292,8 +329,8 @@ class SocketTransport final : public Fabric {
   /// Drains the inbound side with recvmmsg until EAGAIN, handing each batch
   /// off to the destination loops.
   void drain_inbound();
-  /// Flushes the outbound queue with sendmmsg; returns true when fully
-  /// drained, false when the kernel buffer filled (caller arms EPOLLOUT).
+  /// Flushes the backlog queue; returns true when fully drained, false when
+  /// the kernel buffer filled (caller arms EPOLLOUT).
   bool flush_outbound();
   void set_want_write(bool want);
   void wake();
@@ -327,8 +364,13 @@ class SocketTransport final : public Fabric {
   };
   std::optional<HeldFrame> held_;
 
+  /// Frames held unsent: staged, backlogged, or popped by the reactor.
+  std::atomic<std::size_t> unsent_{0};
+
   std::mutex queue_mu_;
-  std::deque<Outbound> queue_;
+  std::deque<Outbound> queue_;  ///< the EAGAIN backlog
+  /// The reactor has popped backlog frames it has not sent yet (queue_mu_).
+  bool backlog_in_flight_ = false;
 
   std::mutex pool_mu_;
   std::vector<std::vector<std::uint8_t>> pool_;
@@ -347,6 +389,7 @@ void count_socket_drop(const char* reason);
 
 /// Hot counters of the socket transport.
 obs::Counter& socket_frames_sent();
+obs::Counter& socket_send_flushes();
 obs::Counter& socket_frames_received();
 obs::Counter& socket_deliveries();
 obs::Counter& socket_handoffs();

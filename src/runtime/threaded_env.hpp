@@ -62,7 +62,8 @@ class ThreadedEnv final : public Env {
   void run_sync(std::function<void()> fn);
 
   /// Stops the loop and joins the thread. Pending and future work is
-  /// discarded; deliveries from other nodes are dropped. Idempotent.
+  /// discarded (queued closures are destroyed, releasing what they hold);
+  /// deliveries from other nodes are dropped. Idempotent.
   void stop();
 
  private:

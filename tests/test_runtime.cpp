@@ -1,5 +1,6 @@
 // Runtime-seam tests: the ThreadedEnv primitives, the LoopCore batch post
-// the socket transport hands frames off with, cross-runtime equivalence
+// the socket transport hands frames off with, the release of queued work
+// when a loop stops, cross-runtime equivalence
 // of the protocol (the same scripted grant/check/revoke sequence must produce
 // the same decision sequence on SimEnv and ThreadedEnv — the seam carries the
 // whole protocol, not just the happy path), and the seed-determinism pin the
@@ -181,6 +182,30 @@ TEST(LoopCore, PostBatchRunsAfterEarlierWorkAndFailsWhenStopped) {
   EXPECT_TRUE(core->queue.empty());
   const std::lock_guard<std::mutex> lock(mu);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+// A stopped loop releases what it still holds: a future-dated entry's
+// closure, and the queued shot of a periodic timer, whose state holds the
+// core that queues it (a shared_ptr cycle unless stop breaks it).
+TEST(LoopCore, StopReleasesQueuedWork) {
+  LoopbackFabric fabric;
+  ThreadedEnv env(fabric);
+  auto one_shot = std::make_shared<int>(1);
+  auto periodic = std::make_shared<int>(2);
+  const std::weak_ptr<int> one_shot_alive = one_shot;
+  const std::weak_ptr<int> periodic_alive = periodic;
+  Timer far = env.make_timer();
+  far.arm(Duration::seconds(10), [one_shot] {});
+  PeriodicTimer ticker = env.make_periodic_timer();
+  ticker.start(Duration::seconds(10), Duration::seconds(10), [periodic] {});
+  one_shot.reset();
+  periodic.reset();
+  ASSERT_FALSE(one_shot_alive.expired());
+  ASSERT_FALSE(periodic_alive.expired());
+  env.stop();
+  EXPECT_TRUE(one_shot_alive.expired());
+  ticker.stop();  // the wrapper's own hold; the queued shot's must be gone
+  EXPECT_TRUE(periodic_alive.expired());
 }
 
 TEST(LoopbackFabric, DeliversBetweenEnvsAndRespectsDown) {

@@ -14,11 +14,17 @@
 // spoofed_source drop) and end to end (a forged manager reply cannot grant
 // access). The deterministic fault plan is exercised at the transport
 // layer: same plan + same arrival sequence -> same losses, run to run;
-// duplication doubles deliveries; reordering swaps adjacent frames.
+// duplication doubles deliveries; reordering swaps adjacent frames. The
+// loop-side send path is pinned against a raw receiver: a pass wider than
+// two batches leaves whole and in order, a staged frame leaves when its
+// pass ends (not when the loop next goes idle, which a far timer or a
+// self-reposting entry would postpone), and a thread that runs no loop
+// sends at once.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -28,6 +34,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -638,6 +645,137 @@ TEST(SocketTransport, ReorderPlanSwapsAdjacentFrames) {
   rig.send_raw(RawSenderRig::ping_frame(2));
   ASSERT_TRUE(eventually([&] { return rig.delivered() == 2; }));
   EXPECT_EQ(rig.delivered_seqs(), (std::vector<std::uint64_t>{2, 1}));
+}
+
+// ------------------------------------------------------------- send path
+
+/// One sending node (host 1) whose peer, host 2, is a raw socket the test
+/// reads, so the test sees exactly the datagrams the transport sent.
+struct RawReceiverRig {
+  RawReceiverRig() {
+    proto::register_wire_messages();
+    transport = make_transport();
+    recv_fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+    EXPECT_GE(recv_fd, 0);
+    const int buf_bytes = 1 << 20;
+    ::setsockopt(recv_fd, SOL_SOCKET, SO_RCVBUF, &buf_bytes, sizeof buf_bytes);
+    transport->add_peer(HostId(2),
+                        NodeAddress{"127.0.0.1", bind_loopback(recv_fd)});
+  }
+  ~RawReceiverRig() {
+    transport->shutdown();
+    if (recv_fd >= 0) ::close(recv_fd);
+  }
+
+  /// A ThreadedEnv on the transport with host 1 registered on it.
+  void start_env() {
+    env = std::make_unique<ThreadedEnv>(*transport);
+    env->transport().register_endpoint(HostId(1),
+                                       [](HostId, const net::MessagePtr&) {});
+  }
+
+  void send_ping(std::uint64_t seq) {
+    transport->send(HostId(1), HostId(2),
+                    net::make_message<proto::HeartbeatPing>(AppId(1), seq));
+  }
+
+  /// The seq of the next HeartbeatPing datagram, or nullopt when none
+  /// arrives within `timeout`.
+  std::optional<std::uint64_t> next_seq(std::chrono::milliseconds timeout) {
+    pollfd pfd{recv_fd, POLLIN, 0};
+    if (::poll(&pfd, 1, static_cast<int>(timeout.count())) != 1) {
+      return std::nullopt;
+    }
+    std::vector<std::uint8_t> buf(65536);
+    const ssize_t n = ::recv(recv_fd, buf.data(), buf.size(), 0);
+    if (n <= 0) return std::nullopt;
+    const auto in = net::CodecRegistry::global().decode(
+        buf.data(), static_cast<std::size_t>(n));
+    const auto* ping =
+        in.ok() ? net::message_cast<proto::HeartbeatPing>(in.frame->msg)
+                : nullptr;
+    if (ping == nullptr) return std::nullopt;
+    return ping->seq;
+  }
+
+  std::unique_ptr<SocketTransport> transport;
+  std::unique_ptr<ThreadedEnv> env;
+  int recv_fd = -1;
+};
+
+// One loop entry sends two full batches and three more: every frame leaves,
+// in send order (the kBatch-th staged frame flushes mid-pass, the pass's
+// end flushes the rest), and the sent counter moves by exactly that many.
+TEST(SocketTransport, PassOfTwoBatchesAndThreeSendsAllInOrder) {
+  RawReceiverRig rig;
+  rig.start_env();
+  constexpr std::uint64_t kFrames = 2 * SocketTransport::kBatch + 3;
+  const std::uint64_t sent_before = counter_value("wan_udp_frames_sent_total");
+  rig.env->run_sync([&] {
+    for (std::uint64_t i = 0; i < kFrames; ++i) rig.send_ping(i);
+  });
+  std::vector<std::uint64_t> got;
+  while (got.size() < kFrames) {
+    const std::optional<std::uint64_t> seq =
+        rig.next_seq(std::chrono::milliseconds(2000));
+    if (!seq) break;
+    got.push_back(*seq);
+  }
+  std::vector<std::uint64_t> want(kFrames);
+  for (std::uint64_t i = 0; i < kFrames; ++i) want[i] = i;
+  EXPECT_EQ(got, want);
+  ASSERT_TRUE(eventually([&] {
+    return counter_value("wan_udp_frames_sent_total") - sent_before >= kFrames;
+  }));
+  EXPECT_EQ(counter_value("wan_udp_frames_sent_total") - sent_before, kFrames);
+}
+
+// A loop that stages one frame and then has nothing due for 10 s sends the
+// frame when its pass ends, not when the timer fires.
+TEST(SocketTransport, StagedFrameLeavesBeforeTheLoopSleeps) {
+  RawReceiverRig rig;
+  rig.start_env();
+  Timer far = rig.env->make_timer();
+  rig.env->run_sync([&] {
+    rig.send_ping(7);
+    far.arm(sim::Duration::seconds(10), [] {});
+  });
+  EXPECT_EQ(rig.next_seq(std::chrono::milliseconds(50)), 7u);
+}
+
+// A loop that never runs out of due work (an entry that reposts itself)
+// still ends a pass between reposts, so its first frame leaves at once
+// instead of waiting for the loop to go idle or for kBatch staged frames.
+TEST(SocketTransport, BusyLoopFlushesEveryPass) {
+  RawReceiverRig rig;
+  rig.start_env();
+  std::atomic<bool> spin{true};
+  std::function<void()> repost = [&] {
+    if (spin.load()) rig.env->post(repost);
+  };
+  rig.env->run_sync([&] {
+    rig.send_ping(1);
+    rig.env->post(repost);
+  });
+  const std::optional<std::uint64_t> seq =
+      rig.next_seq(std::chrono::milliseconds(50));
+  spin.store(false);
+  rig.env->stop();  // before `repost` and `spin` go out of scope
+  EXPECT_EQ(seq, 1u);
+}
+
+// A thread that runs no loop sends at once: no env exists, the source
+// endpoint sits on a loop nobody runs, and the frame still goes out.
+TEST(SocketTransport, SendFromThreadWithoutLoopGoesOutAtOnce) {
+  RawReceiverRig rig;
+  rig.transport->attach(
+      HostId(1),
+      std::make_shared<LoopCore>(std::chrono::steady_clock::now()),
+      [](HostId, const net::MessagePtr&) {});
+  const std::uint64_t sent_before = counter_value("wan_udp_frames_sent_total");
+  rig.send_ping(3);
+  EXPECT_EQ(counter_value("wan_udp_frames_sent_total") - sent_before, 1u);
+  EXPECT_EQ(rig.next_seq(std::chrono::milliseconds(1000)), 3u);
 }
 
 // ------------------------------------------------------ sender authenticity
