@@ -540,24 +540,30 @@ void SocketTransport::stage(const Route& route, std::uint32_t from_value,
     return;
   }
   socket_deliveries().inc();
+  // Groups in use come first; a free one (null core) keeps its storage
+  // from earlier batches.
   auto group = staging.groups.begin();
-  while (group != staging.groups.end() && group->first != route.core) ++group;
-  if (group == staging.groups.end()) {
-    group = staging.groups.emplace(staging.groups.end(), route.core,
-                                   std::vector<std::function<void()>>{});
+  while (group != staging.groups.end() && group->first != route.core &&
+         group->first != nullptr) {
+    ++group;
   }
-  group->second.emplace_back(
-      [handler = route.handler, from = HostId(from_value),
-       msg = std::move(msg)] { (*handler)(from, msg); });
+  if (group == staging.groups.end()) {
+    group = staging.groups.emplace(staging.groups.end());
+  }
+  group->first = route.core;
+  group->second.push_back(
+      LoopCore::Delivery{route.handler, HostId(from_value), std::move(msg)});
 }
 
 void SocketTransport::hand_off(Staging& staging) {
   for (auto& [core, batch] : staging.groups) {
+    if (core == nullptr) break;
     socket_handoffs().inc();
     // A stopped loop drops its share; the other loops' shares still go out.
     LoopCore::post_batch(core, batch);
+    core.reset();
+    batch.clear();
   }
-  staging.groups.clear();
 }
 
 std::vector<std::uint8_t> SocketTransport::take_buffer() {

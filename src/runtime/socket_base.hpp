@@ -49,11 +49,14 @@
 // node loops. It decodes the batch, takes mu_ once for every frame's source,
 // blocked and destination-endpoint checks, runs the fault plan and the
 // reliability layer frame by frame in arrival order, and stages the accepted
-// deliveries per destination LoopCore. Each loop then gets its share of the
-// batch with one LoopCore::post_batch — one lock and one wake-up per batch
-// per loop, not per frame — and runs it in arrival order, so protocol
-// modules stay single-threaded per node. Endpoint handlers are shared with
-// the queued deliveries, never copied per frame. The cross-fabric
+// deliveries per destination LoopCore. A delivery is a plain
+// LoopCore::Delivery struct (shared handler, sender, message), not a
+// closure, so staging allocates nothing per frame. Each loop then gets its
+// share of the batch with one LoopCore::post_batch — one lock and one
+// wake-up per batch per loop, not per frame — into the loop's ready lane,
+// never its timer heap, and runs it in arrival order, so protocol modules
+// stay single-threaded per node. Endpoint handlers are shared with the
+// queued deliveries, never copied per frame. The cross-fabric
 // conformance suite (tests/test_conformance.cpp) holds this transport and
 // the in-process loopback fabric to the same protocol outcomes.
 //
@@ -257,9 +260,10 @@ class SocketTransport final : public Fabric {
   struct Staging {
     std::vector<Arrival> arrivals;
     std::vector<Route> routes;  ///< distinct destinations of the batch
-    /// Accepted deliveries per destination loop, in arrival order.
+    /// Accepted deliveries per destination loop, in arrival order. A
+    /// hand-off frees each group (null core) but keeps its storage.
     std::vector<std::pair<std::shared_ptr<LoopCore>,
-                          std::vector<std::function<void()>>>>
+                          std::vector<LoopCore::Delivery>>>
         groups;
   };
 

@@ -177,7 +177,7 @@ void ThreadedEnv::post(std::function<void()> fn) {
   static obs::Counter& posts =
       obs::Registry::global().counter("wan_env_posts_total{env=\"threaded\"}");
   posts.inc();
-  LoopCore::post_at(core_, SteadyClock::now(), std::move(fn));
+  LoopCore::post(core_, std::move(fn));
 }
 
 void ThreadedEnv::run_sync(std::function<void()> fn) {
@@ -191,16 +191,14 @@ void ThreadedEnv::run_sync(std::function<void()> fn) {
     bool done = false;
   };
   auto state = std::make_shared<SyncState>();
-  const bool posted =
-      LoopCore::post_at(core_, SteadyClock::now(),
-                        [state, fn = std::move(fn)] {
-                          fn();
-                          {
-                            std::lock_guard<std::mutex> lock(state->mu);
-                            state->done = true;
-                          }
-                          state->cv.notify_one();
-                        });
+  const bool posted = LoopCore::post(core_, [state, fn = std::move(fn)] {
+    fn();
+    {
+      std::lock_guard<std::mutex> lock(state->mu);
+      state->done = true;
+    }
+    state->cv.notify_one();
+  });
   WAN_REQUIRE(posted);  // run_sync after stop() would hang forever
   std::unique_lock<std::mutex> lock(state->mu);
   state->cv.wait(lock, [&] { return state->done; });
@@ -239,8 +237,10 @@ void LoopbackFabric::attach(HostId id, std::shared_ptr<LoopCore> core,
                             Transport::Handler handler) {
   WAN_REQUIRE(id.valid());
   WAN_REQUIRE(handler != nullptr);
+  auto shared =
+      std::make_shared<const Transport::Handler>(std::move(handler));
   std::lock_guard<std::mutex> lock(mu_);
-  endpoints_[id] = Endpoint{std::move(core), std::move(handler), false};
+  endpoints_[id] = Endpoint{std::move(core), std::move(shared), false};
 }
 
 void LoopbackFabric::set_endpoint_down(HostId id, bool down) {
@@ -256,7 +256,7 @@ void LoopbackFabric::send(HostId from, HostId to, net::MessagePtr msg) {
       obs::Registry::global().counter("wan_env_sends_total{env=\"threaded\"}");
   sends.inc();
   std::shared_ptr<LoopCore> dest;
-  Transport::Handler handler;
+  LoopCore::Delivery delivery{nullptr, from, std::move(msg)};
   std::chrono::nanoseconds delay{};
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -275,14 +275,15 @@ void LoopbackFabric::send(HostId from, HostId to, net::MessagePtr msg) {
       }
     }
     dest = dst->second.core;
-    handler = dst->second.handler;
+    delivery.handler = dst->second.handler;
     ++delivered_;
   }
-  LoopCore::post_at(
-      dest, SteadyClock::now() + delay,
-      [handler = std::move(handler), from, msg = std::move(msg)] {
-        handler(from, msg);
-      });
+  if (delay.count() == 0) {
+    LoopCore::post_batch(dest, {&delivery, 1});
+  } else {
+    LoopCore::deliver_at(dest, SteadyClock::now() + delay,
+                         std::move(delivery));
+  }
 }
 
 }  // namespace wan::runtime

@@ -1,20 +1,22 @@
 // ThreadedEnv: the real-time runtime behind the seam.
 //
 // One ThreadedEnv per node. Each env owns an event-loop thread driving a
-// LoopCore (runtime/loop_core.hpp) — a mutex-protected timer wheel; timers,
-// post()ed work, and inbound deliveries all run serialized on that thread,
-// so protocol modules stay single-threaded per node with no locks of their
-// own — the same discipline the simulator enforces by construction.
+// LoopCore (runtime/loop_core.hpp) — a mutex-protected ready lane and timer
+// heap; timers, post()ed work, and inbound deliveries all run serialized on
+// that thread, so protocol modules stay single-threaded per node with no
+// locks of their own — the same discipline the simulator enforces by
+// construction.
 //
 // Nodes are connected by a Fabric (runtime/fabric.hpp). The in-process
 // implementation here is LoopbackFabric: a datagram transport with
 // configurable constant delay (+ uniform jitter) and i.i.d. loss. A send
-// locks the fabric, samples loss/delay, and enqueues the delivery onto the
-// destination env's loop. The fabric holds each env's loop core by
-// shared_ptr, so deliveries to an env that has already stopped (or been
-// destroyed) are silently dropped — exactly an unreachable host. The UDP
-// socket fabric lives in runtime/socket_base.hpp; a ThreadedEnv runs
-// unchanged over either.
+// locks the fabric, samples loss/delay, and enqueues a LoopCore::Delivery
+// onto the destination env's loop: into its ready lane, or with a delay onto
+// its timer heap. The fabric holds each env's loop core by shared_ptr, so
+// deliveries to an env that has already stopped (or been destroyed) are
+// silently dropped — exactly an unreachable host. The UDP socket fabric
+// lives in runtime/socket_base.hpp; a ThreadedEnv runs unchanged over
+// either.
 //
 // Time: sim::TimePoint, measured from the fabric's construction instant on
 // the shared steady clock, so timestamps from different nodes are comparable
@@ -95,7 +97,8 @@ class LoopbackFabric final : public Fabric {
  private:
   struct Endpoint {
     std::shared_ptr<LoopCore> core;
-    Transport::Handler handler;
+    /// Shared with every queued delivery, never copied per send.
+    std::shared_ptr<const Transport::Handler> handler;
     bool down = false;
   };
 

@@ -1,6 +1,7 @@
 // Runtime-seam tests: the ThreadedEnv primitives, the LoopCore batch post
-// the socket transport hands frames off with, the release of queued work
-// when a loop stops, cross-runtime equivalence
+// the socket transport hands frames off with, the one (at, seq) order across
+// the ready lane and the timer heap, the release of cancelled timers and of
+// queued work when a loop stops, cross-runtime equivalence
 // of the protocol (the same scripted grant/check/revoke sequence must produce
 // the same decision sequence on SimEnv and ThreadedEnv — the seam carries the
 // whole protocol, not just the happy path), and the seed-determinism pin the
@@ -9,6 +10,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <future>
 #include <memory>
@@ -19,6 +22,7 @@
 
 #include "chaos/engine.hpp"
 #include "net/network.hpp"
+#include "obs/metrics.hpp"
 #include "proto/host.hpp"
 #include "runtime/backend.hpp"
 #include "runtime/loop_core.hpp"
@@ -138,6 +142,18 @@ TEST(ThreadedEnv, NowAdvancesWithWallClock) {
   fabric.stop_all();
 }
 
+// A delivery whose handler appends `v` to `order` under `mu`.
+LoopCore::Delivery recording_delivery(std::mutex& mu, std::vector<int>& order,
+                                      int v) {
+  return LoopCore::Delivery{
+      std::make_shared<const Transport::Handler>(
+          [&mu, &order, v](HostId, const net::MessagePtr&) {
+            const std::lock_guard<std::mutex> lock(mu);
+            order.push_back(v);
+          }),
+      HostId(1), nullptr};
+}
+
 // The socket transport's hand-off primitive: a batch queues behind work
 // posted before it, runs in order, and a stopped core refuses (drops) the
 // whole batch.
@@ -153,6 +169,9 @@ TEST(LoopCore, PostBatchRunsAfterEarlierWorkAndFailsWhenStopped) {
       order.push_back(v);
     };
   };
+  const auto deliver = [&mu, &order](int v) {
+    return recording_delivery(mu, order, v);
+  };
 
   // Park the loop so everything below is queued before any of it runs.
   std::promise<void> gate;
@@ -161,8 +180,8 @@ TEST(LoopCore, PostBatchRunsAfterEarlierWorkAndFailsWhenStopped) {
   ASSERT_TRUE(LoopCore::post_at(core, now, [opened] { opened.wait(); }));
   ASSERT_TRUE(LoopCore::post_at(core, now, record(1)));
   ASSERT_TRUE(LoopCore::post_at(core, now, record(2)));
-  std::vector<std::function<void()>> batch = {record(3), record(4),
-                                              record(5)};
+  std::vector<LoopCore::Delivery> batch = {deliver(3), deliver(4),
+                                           deliver(5)};
   ASSERT_TRUE(LoopCore::post_batch(core, batch));
   gate.set_value();
   ASSERT_TRUE(eventually([&] {
@@ -176,17 +195,124 @@ TEST(LoopCore, PostBatchRunsAfterEarlierWorkAndFailsWhenStopped) {
   }
   core->cv.notify_all();
   loop.join();
-  std::vector<std::function<void()>> late = {record(6), record(7)};
+  std::vector<LoopCore::Delivery> late = {deliver(6), deliver(7)};
   EXPECT_FALSE(LoopCore::post_batch(core, late));
   EXPECT_FALSE(LoopCore::post_at(core, Clock::now(), record(8)));
-  EXPECT_TRUE(core->queue.empty());
+  {
+    const std::lock_guard<std::mutex> lock(core->mu);
+    EXPECT_TRUE(core->lane.empty());
+    EXPECT_TRUE(core->heap.empty());
+  }
   const std::lock_guard<std::mutex> lock(mu);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+// One order across the ready lane and the timer heap: with the loop parked,
+// a timer falls due before a batch and a post are queued, and a second timer
+// after them; unparked, they run in (at, seq) order.
+TEST(LoopCore, DueTimersAndDeliveriesRunInAtSeqOrder) {
+  using Clock = LoopCore::SteadyClock;
+  auto core = std::make_shared<LoopCore>(Clock::now());
+  std::thread loop([core] { core->run_loop(); });
+  std::mutex mu;
+  std::vector<int> order;
+  const auto record = [&mu, &order](int v) {
+    return [&mu, &order, v] {
+      const std::lock_guard<std::mutex> lock(mu);
+      order.push_back(v);
+    };
+  };
+
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::promise<void> parked;
+  ASSERT_TRUE(LoopCore::post(core, [opened, &parked] {
+    parked.set_value();
+    opened.wait();
+  }));
+  parked.get_future().wait();
+  const Clock::time_point t1 = Clock::now() + std::chrono::milliseconds(2);
+  ASSERT_TRUE(LoopCore::post_at(core, t1, record(1)));
+  std::this_thread::sleep_until(t1 + std::chrono::milliseconds(1));
+  std::vector<LoopCore::Delivery> batch = {
+      recording_delivery(mu, order, 2), recording_delivery(mu, order, 3)};
+  ASSERT_TRUE(LoopCore::post_batch(core, batch));
+  ASSERT_TRUE(LoopCore::post(core, record(4)));
+  const Clock::time_point t2 = Clock::now() + std::chrono::milliseconds(2);
+  ASSERT_TRUE(LoopCore::post_at(core, t2, record(5)));
+  std::this_thread::sleep_until(t2 + std::chrono::milliseconds(1));
+  gate.set_value();
+  ASSERT_TRUE(eventually([&] {
+    const std::lock_guard<std::mutex> lock(mu);
+    return order.size() == 5;
+  }));
+
+  {
+    const std::lock_guard<std::mutex> lock(core->mu);
+    core->stopped = true;
+  }
+  core->cv.notify_all();
+  loop.join();
+  const std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+// Cancelled timers do not sit in the queue until their due time: 5,000
+// timers armed 60 s out and cancelled release what they capture at once.
+TEST(LoopCore, CancelledTimersLeaveTheQueue) {
+  LoopbackFabric fabric;
+  ThreadedEnv env(fabric);
+  auto sentinel = std::make_shared<int>(0);
+  const std::weak_ptr<int> alive = sentinel;
+  env.run_sync([&env, &sentinel] {
+    std::vector<Timer> timers;
+    for (int i = 0; i < 5000; ++i) {
+      timers.push_back(env.make_timer());
+      timers.back().arm(Duration::seconds(60), [sentinel] {});
+    }
+    for (Timer& timer : timers) timer.cancel();
+  });
+  sentinel.reset();
+  EXPECT_TRUE(eventually([&] { return alive.expired(); },
+                         std::chrono::seconds(1)));
+  fabric.stop_all();
 }
 
 // A stopped loop releases what it still holds: a future-dated entry's
 // closure, and the queued shot of a periodic timer, whose state holds the
 // core that queues it (a shared_ptr cycle unless stop breaks it).
+// The purge drops cancelled entries buried behind a live one, where the
+// loop's cancelled-top check cannot reach them: the push that brings the
+// heap to kMinPurge entries drops every dead one and keeps the live one.
+TEST(LoopCore, PurgeDropsCancelledTimersBehindALiveOne) {
+  using Clock = LoopCore::SteadyClock;
+  auto core = std::make_shared<LoopCore>(Clock::now());  // never run
+  const Clock::time_point now = Clock::now();
+  ASSERT_TRUE(LoopCore::post_at(core, now + std::chrono::seconds(30), [] {},
+                                std::make_shared<std::atomic<bool>>(false)));
+  auto sentinel = std::make_shared<int>(0);
+  const std::weak_ptr<int> alive = sentinel;
+  const std::uint64_t purged_before =
+      obs::Registry::global()
+          .counter("wan_env_timer_purged_total{env=\"threaded\"}")
+          .value();
+  for (std::size_t i = 1; i < LoopCore::kMinPurge; ++i) {
+    ASSERT_TRUE(LoopCore::post_at(core, now + std::chrono::seconds(60),
+                                  [sentinel] {},
+                                  std::make_shared<std::atomic<bool>>(true)));
+  }
+  sentinel.reset();
+  EXPECT_TRUE(alive.expired());
+  EXPECT_EQ(obs::Registry::global()
+                    .counter("wan_env_timer_purged_total{env=\"threaded\"}")
+                    .value() -
+                purged_before,
+            LoopCore::kMinPurge - 1);
+  const std::lock_guard<std::mutex> lock(core->mu);
+  EXPECT_EQ(core->heap.size(), 1u);
+  EXPECT_EQ(core->purge_at, LoopCore::kMinPurge);
+}
+
 TEST(LoopCore, StopReleasesQueuedWork) {
   LoopbackFabric fabric;
   ThreadedEnv env(fabric);
